@@ -404,17 +404,19 @@ let stage_tests =
           in
           fun () ->
             ignore
-              (Gpp_core.Measurement.measure ~runs:1 ~link:s.Gpp_core.Grophecy.application_link
-                 projection)));
+              (Gpp_core.Measurement.measure_parts ~runs:1
+                 ~link:s.Gpp_core.Grophecy.application_link ~machine
+                 ~kernels:projection.Gpp_core.Projection.kernels
+                 ~plan:projection.Gpp_core.Projection.plan program)));
     Test.make ~name:"stage:full-analysis"
       (Staged.stage
          (let program = Gpp_workloads.Stassuij.program () in
           fun () ->
             let s = Lazy.force session in
             ignore
-              (Gpp_core.Grophecy.analyze
-                 ~params:{ Gpp_core.Grophecy.default_params with Gpp_core.Grophecy.runs = Some 3 }
-                 s program)));
+              (Gpp_engine.Pipeline.analyze_program ~session:s
+                 { Gpp_engine.Config.default with Gpp_engine.Config.machine; runs = Some 3 }
+                 program)));
   ]
 
 let all_tests = experiment_tests @ stage_tests

@@ -17,10 +17,19 @@ let run machines machines_file workloads iterations_list out jobs seed predict c
   | Ok c -> (
       (* The machine axis arrives as names and resolves against the
          scenario's final catalog, so --machines/config-file machines
-         are valid axis values. *)
-      match Cmd_common.resolve_machines c machines with
-      | Error e -> Cmd_common.fail e
-      | Ok resolved ->
+         are valid axis values; each iteration count passes the same
+         range check as a scenario's own. *)
+      let bad_iterations =
+        List.find_map
+          (fun n ->
+            match Engine.Config.validate { c with iterations = Some n } with
+            | Ok _ -> None
+            | Error e -> Some e)
+          iterations_list
+      in
+      match (Cmd_common.resolve_machines c machines, bad_iterations) with
+      | Error e, _ | Ok _, Some e -> Cmd_common.fail e
+      | Ok resolved, None ->
       let workloads =
         match workloads with
         | [] -> List.map Gpp_workloads.Registry.key Gpp_workloads.Registry.paper_instances

@@ -109,7 +109,7 @@ let run machine keys all strict json codes explain sarif verbose =
                   print_endline
                     (match reports with
                     | [ report ] -> Gpp_analysis.Render.to_json report
-                    | reports -> Gpp_analysis.Render.json_of_reports reports)
+                    | reports -> Gpp_analysis.Render.to_json_list reports)
                 else
                   List.iter
                     (fun report -> Format.printf "%a@." Gpp_analysis.Render.pp_text report)

@@ -34,8 +34,7 @@ let trace_workload machine seed key output verbose =
                     let path =
                       Printf.sprintf "%s.%s.json" output kp.Gpp_core.Projection.kernel_name
                     in
-                    Out_channel.with_open_text path (fun oc ->
-                        output_string oc (Gpp_gpusim.Trace.to_chrome_json collector));
+                    Gpp_gpusim.Trace.write_chrome collector (open_out path);
                     Printf.printf "wrote %s (open in chrome://tracing or Perfetto)\n\n" path;
                     0
               end)

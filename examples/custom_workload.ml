@@ -62,9 +62,10 @@ let () =
   | Error e -> failwith e);
 
   let machine = Gpp_arch.Machine.argonne_node in
-  let session = Gpp_core.Grophecy.init machine in
-  match Gpp_core.Grophecy.analyze session program with
-  | Error e -> failwith (Gpp_core.Error.to_string e)
+  let config = { Gpp_engine.Config.default with machine } in
+  let session = Gpp_engine.Pipeline.session_of config in
+  match Gpp_engine.Pipeline.analyze_program ~session config program with
+  | Error e -> failwith (Gpp_engine.Error.to_string e)
   | Ok report ->
       let projection = report.projection in
       Format.printf "what GROPHECY++ decided:@.%a@.@." Gpp_core.Projection.pp projection;

@@ -18,15 +18,16 @@ let () =
 
   (* Step 1: the framework calibrates its PCIe model automatically from
      two measurements on the (simulated) machine. *)
-  let session = Gpp_core.Grophecy.init machine in
+  let config = { Gpp_engine.Config.default with machine } in
+  let session = Gpp_engine.Pipeline.session_of config in
   Format.printf "calibrated transfer models:@.  %a@.  %a@.@." Gpp_pcie.Model.pp
     session.Gpp_core.Grophecy.h2d Gpp_pcie.Model.pp session.Gpp_core.Grophecy.d2h;
 
   (* Step 2: describe the computation as a code skeleton and analyze. *)
   let n = 16 * 1024 * 1024 in
   let program = Gpp_workloads.Vecadd.program ~n in
-  (match Gpp_core.Grophecy.analyze session program with
-  | Error e -> failwith (Gpp_core.Error.to_string e)
+  (match Gpp_engine.Pipeline.analyze_program ~session config program with
+  | Error e -> failwith (Gpp_engine.Error.to_string e)
   | Ok report ->
       let ms t = Gpp_util.Units.ms_of_seconds t in
       Format.printf "adding two vectors of %d floats:@." n;

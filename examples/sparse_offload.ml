@@ -11,12 +11,13 @@
 
 let () =
   let machine = Gpp_arch.Machine.argonne_node in
-  let session = Gpp_core.Grophecy.init machine in
+  let config = { Gpp_engine.Config.default with machine } in
+  let session = Gpp_engine.Pipeline.session_of config in
   let program = Gpp_workloads.Stassuij.program () in
   let report =
-    match Gpp_core.Grophecy.analyze session program with
+    match Gpp_engine.Pipeline.analyze_program ~session config program with
     | Ok r -> r
-    | Error e -> failwith (Gpp_core.Error.to_string e)
+    | Error e -> failwith (Gpp_engine.Error.to_string e)
   in
   Format.printf "Stassuij: 132x132 sparse (CSR) x 132x2048 dense complex@.@.";
   Format.printf "what the data usage analyzer decided to transfer:@.%a@.@."

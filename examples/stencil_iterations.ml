@@ -12,13 +12,14 @@
 
 let () =
   let machine = Gpp_arch.Machine.argonne_node in
-  let session = Gpp_core.Grophecy.init machine in
+  let config = { Gpp_engine.Config.default with machine } in
+  let session = Gpp_engine.Pipeline.session_of config in
   let n = 1024 in
   let program = Gpp_workloads.Hotspot.program ~n () in
   let report =
-    match Gpp_core.Grophecy.analyze session program with
+    match Gpp_engine.Pipeline.analyze_program ~session config program with
     | Ok r -> r
-    | Error e -> failwith (Gpp_core.Error.to_string e)
+    | Error e -> failwith (Gpp_engine.Error.to_string e)
   in
   Format.printf "HotSpot %dx%d on %s@.@." n n machine.Gpp_arch.Machine.name;
   Format.printf "fixed transfer cost: %a (in: temperature + power, out: temperature)@.@."

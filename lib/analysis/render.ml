@@ -14,76 +14,43 @@ let pp_text ppf (report : Driver.report) =
       (if i = 1 then "" else "s");
   Format.fprintf ppf "@]"
 
-(* Minimal JSON emission, same approach as the Chrome-trace exporter:
-   the structure is fixed and shallow, so a serializer dependency would
-   be overkill.  Strings are escaped per RFC 8259. *)
+module Json = Gpp_util.Json
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = Printf.sprintf "\"%s\"" (escape s)
-
-(* Printf "%g" can produce OCaml-isms ("inf", "nan") that are not JSON;
-   diagnostics only carry finite payloads, but guard anyway. *)
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else if Float.is_finite f then Printf.sprintf "%.17g" f
-  else json_string (Float.to_string f)
-
-let json_value = function
-  | D.String s -> json_string s
+let payload_to_json = function
+  | D.String s -> Json.string s
   | D.Int i -> string_of_int i
-  | D.Float f -> json_float f
+  | D.Float f -> Json.float f
   | D.Bool b -> if b then "true" else "false"
 
-let json_object fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields) ^ "}"
-
-let json_array items = "[" ^ String.concat "," items ^ "]"
-
-let json_of_diagnostic (d : D.t) =
-  let optional key = function Some v -> [ (key, json_string v) ] | None -> [] in
-  json_object
+let diagnostic_to_json (d : D.t) =
+  let optional key = function Some v -> [ (key, Json.string v) ] | None -> [] in
+  Json.obj
     ([
-       ("code", json_string d.code);
-       ("severity", json_string (D.severity_name d.severity));
+       ("code", Json.string d.code);
+       ("severity", Json.string (D.severity_name d.severity));
      ]
     @ optional "kernel" d.location.kernel
     @ optional "array" d.location.array
     @ optional "detail" d.location.detail
     @ [
-        ("message", json_string d.message);
-        ("payload", json_object (List.map (fun (k, v) -> (k, json_value v)) d.payload));
+        ("message", Json.string d.message);
+        ("payload", Json.obj (List.map (fun (k, v) -> (k, payload_to_json v)) d.payload));
       ])
 
-let json_of_report (report : Driver.report) =
-  json_object
+let to_json (report : Driver.report) =
+  Json.obj
     [
-      ("program", json_string report.program_name);
+      ("program", Json.string report.program_name);
       ("valid", if report.valid then "true" else "false");
       ( "summary",
-        json_object
+        Json.obj
           [
             ("errors", string_of_int (Driver.errors report));
             ("warnings", string_of_int (Driver.warnings report));
             ("infos", string_of_int (Driver.infos report));
           ] );
-      ("passes", json_array (List.map json_string report.passes_run));
-      ("diagnostics", json_array (List.map json_of_diagnostic report.diagnostics));
+      ("passes", Json.arr (List.map Json.string report.passes_run));
+      ("diagnostics", Json.arr (List.map diagnostic_to_json report.diagnostics));
     ]
 
-let to_json report = json_of_report report
-
-let json_of_reports reports = json_array (List.map json_of_report reports)
+let to_json_list reports = Json.arr (List.map to_json reports)

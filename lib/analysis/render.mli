@@ -18,19 +18,9 @@ val to_json : Driver.report -> string
     Location fields are omitted when absent; payload values keep their
     types (string/int/float/bool). *)
 
-val json_of_reports : Driver.report list -> string
+val to_json_list : Driver.report list -> string
 (** Several programs linted in one invocation, as a JSON array. *)
 
-(** {2 JSON emission primitives}
-
-    Shared with the SARIF exporter ({!Sarif}); strings are escaped per
-    RFC 8259. *)
-
-val json_string : string -> string
-
-val json_value : Diagnostic.payload_value -> string
-
-val json_object : (string * string) list -> string
-(** Keys are escaped; values must already be rendered JSON. *)
-
-val json_array : string list -> string
+val payload_to_json : Diagnostic.payload_value -> string
+(** A diagnostic payload value as JSON, keeping its type; shared with
+    the SARIF exporter ({!Sarif}). *)

@@ -3,7 +3,7 @@
    locations and properties is emitted. *)
 
 module D = Diagnostic
-open Render
+module Json = Gpp_util.Json
 
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -13,17 +13,17 @@ let level_of_severity = function
   | D.Warning -> "warning"
   | D.Info -> "note"
 
-let text s = json_object [ ("text", json_string s) ]
+let text s = Json.obj [ ("text", Json.string s) ]
 
 let rule_of_doc (doc : Pass.code_doc) =
-  json_object
+  Json.obj
     [
-      ("id", json_string doc.code);
+      ("id", Json.string doc.code);
       ("shortDescription", text doc.summary);
       ("fullDescription", text doc.explanation);
       ("help", text doc.fix);
       ( "defaultConfiguration",
-        json_object [ ("level", json_string (level_of_severity doc.severity)) ] );
+        Json.obj [ ("level", Json.string (level_of_severity doc.severity)) ] );
     ]
 
 (* program/kernel/array, most specific part last; SARIF wants a single
@@ -38,33 +38,33 @@ let logical_location ~program (d : D.t) =
     | Some _, None -> "function"
     | None, None -> "module"
   in
-  json_object
+  Json.obj
     [
-      ("fullyQualifiedName", json_string (String.concat "/" parts));
-      ("kind", json_string kind);
+      ("fullyQualifiedName", Json.string (String.concat "/" parts));
+      ("kind", Json.string kind);
     ]
 
 let result_of ~program ~rule_index_of (d : D.t) =
   let properties =
-    ("program", json_string program)
+    ("program", Json.string program)
     :: (match d.location.detail with
-       | Some detail -> [ ("detail", json_string detail) ]
+       | Some detail -> [ ("detail", Json.string detail) ]
        | None -> [])
-    @ List.map (fun (k, v) -> (k, json_value v)) d.payload
+    @ List.map (fun (k, v) -> (k, Render.payload_to_json v)) d.payload
   in
-  json_object
-    ([ ("ruleId", json_string d.code) ]
+  Json.obj
+    ([ ("ruleId", Json.string d.code) ]
     @ (match rule_index_of d.code with
       | Some i -> [ ("ruleIndex", string_of_int i) ]
       | None -> [])
     @ [
-        ("level", json_string (level_of_severity d.severity));
+        ("level", Json.string (level_of_severity d.severity));
         ("message", text d.message);
         ( "locations",
-          json_array
-            [ json_object [ ("logicalLocations", json_array [ logical_location ~program d ]) ] ]
+          Json.arr
+            [ Json.obj [ ("logicalLocations", Json.arr [ logical_location ~program d ]) ] ]
         );
-        ("properties", json_object properties);
+        ("properties", Json.obj properties);
       ])
 
 let of_reports (reports : Driver.report list) =
@@ -83,24 +83,24 @@ let of_reports (reports : Driver.report list) =
       reports
   in
   let driver =
-    json_object
+    Json.obj
       [
-        ("name", json_string "grophecy");
-        ("version", json_string "1.0.0");
-        ("rules", json_array (List.map rule_of_doc rules));
+        ("name", Json.string "grophecy");
+        ("version", Json.string "1.0.0");
+        ("rules", Json.arr (List.map rule_of_doc rules));
       ]
   in
-  json_object
+  Json.obj
     [
-      ("$schema", json_string schema_uri);
-      ("version", json_string "2.1.0");
+      ("$schema", Json.string schema_uri);
+      ("version", Json.string "2.1.0");
       ( "runs",
-        json_array
+        Json.arr
           [
-            json_object
+            Json.obj
               [
-                ("tool", json_object [ ("driver", driver) ]);
-                ("results", json_array results);
+                ("tool", Json.obj [ ("driver", driver) ]);
+                ("results", Json.arr results);
               ];
           ] );
     ]

@@ -68,29 +68,6 @@ let log_cache_stats () =
     (fun s -> Log.info (fun m -> m "cache %a" Gpp_cache.Memo.pp_snapshot s))
     (Gpp_cache.Memo.snapshots ())
 
-type params = {
-  cache : bool option;
-  analytic_params : Gpp_model.Analytic.params option;
-  space : Gpp_transform.Explore.space option;
-  policy : Gpp_dataflow.Analyzer.policy option;
-  sim_config : Gpp_gpusim.Gpu_sim.config option;
-  cpu_params : Gpp_cpu.Timing.params option;
-  runs : int option;
-  iterations : int option;
-}
-
-let default_params =
-  {
-    cache = None;
-    analytic_params = None;
-    space = None;
-    policy = None;
-    sim_config = None;
-    cpu_params = None;
-    runs = None;
-    iterations = None;
-  }
-
 let evaluate ?cpu_params ~machine ~projection ~measurement program =
   let cpu_time = Evaluation.cpu_time ?params:cpu_params ~machine program in
   let speedups = Evaluation.speedups ~cpu_time projection measurement in
@@ -104,41 +81,6 @@ let evaluate ?cpu_params ~machine ~projection ~measurement program =
     kernel_error = Evaluation.kernel_error projection measurement;
     transfer_error = Evaluation.transfer_error projection measurement;
   }
-
-let analyze ?(params = default_params) session program =
-  let { cache; analytic_params; space; policy; sim_config; cpu_params; runs; iterations } =
-    params
-  in
-  let ( let* ) = Result.bind in
-  let program =
-    match iterations with
-    | Some n -> Gpp_skeleton.Program.with_iterations program n
-    | None -> program
-  in
-  let* projection =
-    Projection.project ?cache ?analytic_params ?space ?policy ~pricing:session.pricing program
-  in
-  Log.info (fun m ->
-      m "%s: projected kernel %a + transfer %a" program.Gpp_skeleton.Program.name
-        Gpp_util.Units.pp_time projection.Projection.kernel_time Gpp_util.Units.pp_time
-        projection.Projection.transfer_time);
-  List.iter
-    (fun (kp : Projection.kernel_projection) ->
-      Log.debug (fun m ->
-          m "  %s via %s: %a" kp.Projection.kernel_name
-            kp.Projection.candidate.Gpp_transform.Explore.characteristics
-              .Gpp_model.Characteristics.config_label
-            Gpp_util.Units.pp_time kp.Projection.time))
-    projection.Projection.kernels;
-  let* measurement =
-    Measurement.measure ?cache ?sim_config ?runs ~seed:session.noise_seed
-      ~link:session.application_link projection
-  in
-  Log.info (fun m ->
-      m "%s: measured kernel %a + transfer %a" program.Gpp_skeleton.Program.name
-        Gpp_util.Units.pp_time measurement.Measurement.kernel_time Gpp_util.Units.pp_time
-        measurement.Measurement.transfer_time);
-  Ok (evaluate ?cpu_params ~machine:session.machine ~projection ~measurement program)
 
 let iteration_sweep ?cpu_params report ~iterations =
   Evaluation.iteration_sweep ?params:cpu_params report.projection report.measurement ~iterations

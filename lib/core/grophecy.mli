@@ -1,11 +1,12 @@
-(** GROPHECY++ facade: one-call workflows over the full pipeline.
+(** GROPHECY++ sessions and reports.
 
     A {!session} bundles a machine description with its simulated PCIe
     link and the transfer-time models calibrated on it — mirroring how
     the real framework automatically benchmarks each new system it runs
-    on (§III-C).  {!analyze} then produces, for any program skeleton,
-    the complete prediction + "measurement" + error report the paper's
-    evaluation is built from. *)
+    on (§III-C).  A {!report} is the complete prediction +
+    "measurement" + error record the paper's evaluation is built from;
+    the engine's staged pipeline ([Gpp_engine.Pipeline]) produces one
+    for any program skeleton, finishing with {!evaluate}. *)
 
 type session = {
   machine : Gpp_arch.Machine.t;
@@ -50,35 +51,6 @@ type report = {
   kernel_error : float;  (** Error magnitude of total kernel time. *)
   transfer_error : float;  (** Error magnitude of total transfer time. *)
 }
-
-type params = {
-  cache : bool option;
-      (** Per-call memo-table override; [None] defers to the global
-          {!Gpp_cache.Control} switch. *)
-  analytic_params : Gpp_model.Analytic.params option;
-  space : Gpp_transform.Explore.space option;
-  policy : Gpp_dataflow.Analyzer.policy option;
-  sim_config : Gpp_gpusim.Gpu_sim.config option;
-  cpu_params : Gpp_cpu.Timing.params option;
-  runs : int option;  (** Runs per measurement mean (default 10). *)
-  iterations : int option;
-      (** When set, rescales the program's [Repeat] nodes first. *)
-}
-(** Every tunable of one {!analyze} call in a single record, replacing
-    the former eight-way optional-argument threading.  Build one with
-    record update on {!default_params}; the engine's [Config] layer
-    resolves its own scenario record down to this. *)
-
-val default_params : params
-(** Everything [None]: library defaults throughout. *)
-
-val analyze :
-  ?params:params -> session -> Gpp_skeleton.Program.t -> (report, Error.t) result
-(** Project, measure, and evaluate one program.
-
-    Transformation searches and kernel simulations are memoized (the
-    report is bit-identical either way); [{ params with cache = Some
-    false }] bypasses both memo tables for this call. *)
 
 val evaluate :
   ?cpu_params:Gpp_cpu.Timing.params ->

@@ -22,8 +22,7 @@ type t = {
    in between — the batch runner executes it on worker domains.
    [price_transfers] draws from the *stateful* link RNG, so the draw
    order across cells is part of the result; the batch runner calls it
-   serially, in cell-index order, which is exactly the order the
-   sequential path has always used. *)
+   serially, in cell-index order, whatever its job count. *)
 let measure_kernels ?cache ?sim_config ?(runs = 10) ?(seed = 0x4A7C_15F3_9E37_79B9L) ~machine
     ~kernels:(chosen : Projection.kernel_projection list) (program : Program.t) =
   let ( let* ) = Result.bind in
@@ -87,12 +86,9 @@ let of_parts ~kernels ~kernel_time ~transfers =
   let transfer_time = List.fold_left (fun acc tm -> acc +. tm.time) 0.0 transfers in
   { kernels; kernel_time; transfers; transfer_time; total_time = kernel_time +. transfer_time }
 
-(* [measure_parts] is the staged entry point: it consumes exactly what
-   the Explore and Analyze stages produced (chosen candidates + transfer
-   plan), so the engine can simulate before transfers are priced.  The
-   classic [measure] on a finished projection delegates to it — same
-   draws from the same RNG streams in the same order, so both paths are
-   bit-identical. *)
+(* [measure_parts] consumes exactly what the Explore and Analyze stages
+   produced (chosen candidates + transfer plan), so the engine can
+   simulate before transfers are priced. *)
 let measure_parts ?cache ?sim_config ?runs ?seed ~link ~machine
     ~kernels:(chosen : Projection.kernel_projection list) ~plan (program : Program.t) =
   Gpp_obs.Obs.span "core.measure" @@ fun () ->
@@ -102,11 +98,6 @@ let measure_parts ?cache ?sim_config ?runs ?seed ~link ~machine
       let memory = Link.memory_of_staging machine.Gpp_arch.Machine.staging in
       let transfers = price_transfers ?runs ~memory ~link plan in
       Ok (of_parts ~kernels ~kernel_time ~transfers)
-
-let measure ?cache ?sim_config ?runs ?seed ~link (projection : Projection.t) =
-  measure_parts ?cache ?sim_config ?runs ?seed ~link ~machine:projection.Projection.machine
-    ~kernels:projection.Projection.kernels ~plan:projection.Projection.plan
-    projection.Projection.program
 
 let kernel_time_of t name =
   List.find_opt (fun (km : kernel_measurement) -> km.kernel_name = name) t.kernels

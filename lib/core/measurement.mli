@@ -25,24 +25,6 @@ type t = {
   total_time : float;
 }
 
-val measure :
-  ?cache:bool ->
-  ?sim_config:Gpp_gpusim.Gpu_sim.config ->
-  ?runs:int ->
-  ?seed:int64 ->
-  link:Gpp_pcie.Link.t ->
-  Projection.t ->
-  (t, Error.t) result
-(** Execute the projection's chosen kernels and planned transfers on the
-    simulated hardware.  The link is used as-is (construct it with
-    outliers enabled to reproduce the noisy application-transfer
-    behaviour of §V-A).
-
-    Kernel simulations are seeded deterministically and memoized (see
-    {!Gpp_gpusim.Gpu_sim.run_mean}); transfer times come from the
-    stateful link and are never cached.  [~cache:false] forces
-    re-simulation.  Failures are {!Error.Simulation}. *)
-
 val measure_kernels :
   ?cache:bool ->
   ?sim_config:Gpp_gpusim.Gpu_sim.config ->
@@ -101,12 +83,17 @@ val measure_parts :
   plan:Gpp_dataflow.Analyzer.plan ->
   Gpp_skeleton.Program.t ->
   (t, Error.t) result
-(** Staged variant of {!measure} taking the Explore stage's chosen
-    candidates and the Analyze stage's transfer plan directly, so the
-    engine can simulate before transfers are priced.  [measure p] is
-    exactly [measure_parts ~machine:p.machine ~kernels:p.kernels
-    ~plan:p.plan p.program] — identical RNG draw order, identical
-    results. *)
+(** Execute the Explore stage's chosen kernels and the Analyze stage's
+    planned transfers on the simulated hardware: {!measure_kernels},
+    then {!price_transfers} on [link] with the machine's staging mode.
+    The link is used as-is (the session's application link has
+    outliers enabled, reproducing the noisy application-transfer
+    behaviour of §V-A).
+
+    Kernel simulations are seeded deterministically and memoized (see
+    {!Gpp_gpusim.Gpu_sim.run_mean}); transfer times come from the
+    stateful link and are never cached.  [~cache:false] forces
+    re-simulation.  Failures are {!Error.Simulation}. *)
 
 val kernel_time_of : t -> string -> float option
 

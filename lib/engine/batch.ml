@@ -19,13 +19,14 @@ type t = {
    Parallelism does not change the output.  The only cross-cell state is
    each machine session's application link, whose stateful RNG advances
    a data-dependent number of draws per transfer (outliers draw extra),
-   so transfer pricing must happen in a fixed order.  The parallel path
-   therefore splits each cell at the Simulate stage: the deterministic
-   phases (Parse..Explore plus the kernel simulations, which seed a
-   fresh RNG from the session's noise seed) are sharded across worker
-   domains, while transfer pricing runs serially in cell-index order —
-   precisely the draw order of the sequential path.  The TSV is
-   byte-identical at any [jobs] value. *)
+   so transfer pricing must happen in a fixed order.  Every cell is
+   therefore split at the Simulate stage: the deterministic phases
+   (Parse..Explore plus the kernel simulations, which seed a fresh RNG
+   from the session's noise seed) go through the {!Pool}, while transfer
+   pricing runs serially in cell-index order.  At [jobs = 1] the pool
+   runs the first half in index order on the calling domain; at any
+   [jobs] the link draws happen in the same order, so the TSV is
+   byte-identical. *)
 
 (* Deterministic per-cell half: resolve, analyze, explore, and simulate
    the kernels.  Runs on worker domains; touches no shared mutable state
@@ -94,32 +95,19 @@ let run ?machines ?(iterations = [ None ]) ?jobs (config : Config.t) ~workloads 
   in
   let cells = Array.of_list cells in
   let n = Array.length cells in
+  let partial = Array.make n None in
+  Pool.run ~jobs n (fun i ->
+      let cell, cconfig, session = cells.(i) in
+      let r =
+        Obs.span "batch.cell" @@ fun () -> run_deterministic ~session cconfig ~workload:cell.workload
+      in
+      partial.(i) <- Some r);
   let outcomes =
-    if jobs <= 1 then
-      (* Sequential path: each cell runs the whole pipeline in one go,
-         exactly as before the pool existed. *)
-      Array.map
-        (fun (cell, cconfig, session) ->
-          Obs.span "batch.cell" @@ fun () ->
-          match Pipeline.run ~session cconfig ~workload:cell.workload with
-          | Ok state -> Ok (Pipeline.report_exn state)
-          | Error e -> Error e)
-        cells
-    else begin
-      let partial = Array.make n None in
-      Pool.run ~jobs n (fun i ->
-          let cell, cconfig, session = cells.(i) in
-          let r =
-            Obs.span "batch.cell" @@ fun () ->
-            run_deterministic ~session cconfig ~workload:cell.workload
-          in
-          partial.(i) <- Some r);
-      Array.init n (fun i ->
-          let _cell, cconfig, session = cells.(i) in
-          match Option.get partial.(i) with
-          | Error e -> Error e
-          | Ok parts -> finish_cell ~session cconfig parts)
-    end
+    Array.init n (fun i ->
+        let _cell, cconfig, session = cells.(i) in
+        match Option.get partial.(i) with
+        | Error e -> Error e
+        | Ok parts -> finish_cell ~session cconfig parts)
   in
   let cell_results =
     Array.to_list

@@ -7,11 +7,11 @@
     instances reproduce its reports bit-for-bit.  Per-cell failures are
     collected, not fatal: one bad skeleton does not sink the matrix.
 
-    With [jobs > 1] the deterministic phases of each cell (parse through
-    kernel simulation) run on a {!Pool} of worker domains, while
+    The deterministic phases of each cell (parse through kernel
+    simulation) run on a {!Pool} of [jobs] worker domains, while
     transfer pricing — the only computation that advances shared state,
     the per-machine application link's RNG — runs serially in cell-index
-    order.  That is the sequential path's exact draw order, so
+    order afterwards.  The draw order does not depend on [jobs], so
     {!to_tsv} is byte-identical at every [jobs] value. *)
 
 type cell = {
@@ -40,12 +40,11 @@ val run :
     defaults to the scenario's machine; [iterations] defaults to
     [[None]] (each program as bundled); [jobs] defaults to the
     scenario's [jobs] field and must satisfy {!Pool.run}'s range
-    ([Config.resolve] already enforces it for user input; [jobs = 1]
-    runs each whole cell sequentially on the calling domain).  The
-    scenario's
-    cache settings are honoured per cell; calibration, cells, and
-    transfer pricing get obs spans ([batch.calibrate], [batch.cell],
-    [batch.price]). *)
+    ([Config.resolve] already enforces it for user input; at [jobs = 1]
+    the pool runs on the calling domain).  The scenario's cache
+    settings are honoured per cell; calibration, the deterministic cell
+    halves, and transfer pricing get obs spans ([batch.calibrate],
+    [batch.cell], [batch.price]). *)
 
 val session : t -> machine:string -> Gpp_core.Grophecy.session option
 (** The calibrated session for a machine name. *)

@@ -26,9 +26,8 @@ type t = {
   flush_every : int;  (* serve: flush the disk cache every N requests *)
 }
 
-(* Mirrors Grophecy.init's defaults exactly: resolving a default config
-   and running it must be bit-identical to the historical
-   [Grophecy.init machine] + [Grophecy.analyze session program] path. *)
+(* Mirrors Grophecy.init's defaults exactly, so [Pipeline.session_of
+   default] is the session [Grophecy.init machine] calibrates. *)
 let default =
   {
     machine = Machine.argonne_node;
@@ -54,18 +53,6 @@ let default =
     verbose = false;
     listen = "127.0.0.1:8080";
     flush_every = 64;
-  }
-
-let core_params (t : t) =
-  {
-    Gpp_core.Grophecy.cache = t.use_cache;
-    analytic_params = t.analytic;
-    space = t.space;
-    policy = t.policy;
-    sim_config = t.sim;
-    cpu_params = t.cpu;
-    runs = t.runs;
-    iterations = t.iterations;
   }
 
 let machine_names = List.map (fun (m : Machine.t) -> m.Machine.id) Machine.catalog
@@ -462,18 +449,19 @@ let apply_overrides (t : t) (o : overrides) =
 
 (* Cross-layer validation, applied to the fully resolved value so a bad
    setting is rejected no matter which layer (file, env, flag) supplied
-   it.  Pool.run would raise Invalid_argument on the same range; user
-   input must surface as a structured config error (exit 2) instead. *)
+   it.  Pool.run, the simulators and the iteration rescaling would raise
+   Invalid_argument on the same ranges; user input must surface as a
+   structured config error (exit 2) instead. *)
 let validate (t : t) =
-  if t.jobs < 1 || t.jobs > Pool.max_jobs then
-    Error
-      (Error.config
-         (Printf.sprintf "jobs = %d out of range (expected 1 .. %d)" t.jobs Pool.max_jobs))
-  else if t.flush_every < 1 then
-    Error
-      (Error.config
-         (Printf.sprintf "flush-every = %d out of range (expected >= 1)" t.flush_every))
-  else Ok t
+  let out_of_range fmt = Printf.ksprintf (fun m -> Error (Error.config m)) fmt in
+  match (t.runs, t.iterations) with
+  | Some n, _ when n < 1 -> out_of_range "runs = %d out of range (expected >= 1)" n
+  | _, Some n when n < 1 -> out_of_range "iterations = %d out of range (expected >= 1)" n
+  | _ when t.jobs < 1 || t.jobs > Pool.max_jobs ->
+      out_of_range "jobs = %d out of range (expected 1 .. %d)" t.jobs Pool.max_jobs
+  | _ when t.flush_every < 1 ->
+      out_of_range "flush-every = %d out of range (expected >= 1)" t.flush_every
+  | _ -> Ok t
 
 let resolve ?getenv ?file ?(overrides = no_overrides) () =
   let ( let* ) = Result.bind in

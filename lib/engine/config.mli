@@ -9,9 +9,9 @@
     {v library defaults < sexp config file (--config FILE)
        < GPP_* environment variables < command-line flags v}
 
-    The defaults reproduce the historical
-    [Grophecy.init machine] behaviour bit-for-bit, so a default-resolved
-    config is byte-identical to every pre-engine run. *)
+    The defaults reproduce [Grophecy.init machine] bit-for-bit:
+    {!Pipeline.session_of} a default-resolved config calibrates exactly
+    that session. *)
 
 type t = {
   machine : Gpp_arch.Machine.t;
@@ -68,9 +68,6 @@ type t = {
 }
 
 val default : t
-
-val core_params : t -> Gpp_core.Grophecy.params
-(** Project the scenario down to the core facade's per-call params. *)
 
 val machine_of_name : string -> (Gpp_arch.Machine.t, string) result
 (** Builtin-catalog lookup by id, for callers without a resolved
@@ -144,6 +141,11 @@ val resolve :
   unit ->
   (t, Error.t) result
 (** Full layered resolution: defaults, then [file], then environment,
-    then [overrides], then cross-layer validation ([jobs] within
-    {!Pool.max_jobs}, [flush_every >= 1]) — an out-of-range value is an
-    {!Error.Config} (exit 2) whichever layer supplied it. *)
+    then [overrides], then {!validate}. *)
+
+val validate : t -> (t, Error.t) result
+(** Cross-layer range checks: [runs] and [iterations] at least 1 when
+    set, [jobs] within {!Pool.max_jobs}, [flush_every >= 1].  An
+    out-of-range value is an {!Error.Config} (exit 2) whichever layer
+    supplied it; [grophecy serve] applies the same checks to request
+    parameters (a 400). *)

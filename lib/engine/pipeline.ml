@@ -50,17 +50,17 @@ let required stage = function
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Pipeline: stage %s ran before its inputs" stage)
 
+let rescale (config : Config.t) program =
+  match config.iterations with
+  | Some n -> Gpp_skeleton.Program.with_iterations program n
+  | None -> program
+
 let run_parse ~session:_ state =
   Obs.span "parse" @@ fun () ->
   match Workload.resolve state.workload with
   | Error e -> Error e
   | Ok inst ->
-      let program = inst.Registry.program 1 in
-      let program =
-        match state.config.Config.iterations with
-        | Some n -> Gpp_skeleton.Program.with_iterations program n
-        | None -> program
-      in
+      let program = rescale state.config (inst.Registry.program 1) in
       Ok { state with instance = Some inst; program = Some program }
 
 (* Static analysis: surface warnings and errors on stderr before a
@@ -220,3 +220,16 @@ let program_exn state =
   match state.program with
   | Some p -> p
   | None -> invalid_arg "Pipeline.program_exn: the Parse stage has not run"
+
+(* A caller-built program stands in for the Parse stage: validated the
+   way the skeleton parser validates a file, rescaled the same way, and
+   named by the program itself (which is also what the Learned stage
+   leaves out of its training set). *)
+let analyze_program ~session config (program : Gpp_skeleton.Program.t) =
+  match Gpp_skeleton.Program.validate program with
+  | Error m -> Error (Error.parse ~source:program.name m)
+  | Ok () ->
+      let state =
+        { (init config ~workload:program.name) with program = Some (rescale config program) }
+      in
+      Result.map report_exn (resume ~session state)

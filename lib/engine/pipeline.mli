@@ -7,12 +7,12 @@
     earlier stages filled in, and either extends the {!state} or fails
     with a structured {!Error.t}.  The stage list is a plain value
     ({!stages}), so tools can enumerate, describe, or partially run the
-    pipeline ({!run} with [?through]).
+    pipeline ({!run} with [?through]).  {!analyze_program} runs the
+    same stages on a program built in code instead of a workload name.
 
-    Numerics parity: given a default config, running all stages is
-    bit-identical to [Grophecy.analyze] — the stages are the same
-    computations in the same RNG draw order, only the control flow and
-    error plumbing moved. *)
+    This is the one path from skeleton to report: the CLI, the batch
+    runner, the serve API, the experiments and the examples all go
+    through it. *)
 
 type state = {
   config : Config.t;
@@ -66,6 +66,17 @@ val resume :
     stages whose output is already present ({!completed}) are skipped,
     the remaining ones run in pipeline order.  Used by the batch runner
     to finish cells whose Simulate output was assembled out of band. *)
+
+val analyze_program :
+  session:Gpp_core.Grophecy.session ->
+  Config.t ->
+  Gpp_skeleton.Program.t ->
+  (Gpp_core.Grophecy.report, Error.t) result
+(** Run every stage after Parse on a caller-built program and return
+    the report.  The program takes the Parse stage's place: it is
+    validated (an invalid one is an {!Error.Parse} naming the program)
+    and rescaled to [config.iterations] when set.  The scenario comes
+    from [config], whose machine must be the session's. *)
 
 val completed : state -> Stage.id list
 (** Which stages have produced their output (Lint counts only when it

@@ -27,31 +27,17 @@ let dropped t = t.dropped
 
 let span t = List.fold_left (fun acc e -> Float.max acc (e.start +. e.duration)) 0.0 t.events
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let to_chrome_json t =
-  let buf = Buffer.create (t.count * 96) in
-  Buffer.add_string buf "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d}"
-           (json_escape e.name) (json_escape e.category) (e.start *. 1e6) (e.duration *. 1e6)
-           e.track))
+(* Simulated seconds become trace microseconds from time zero; each SM
+   is its own tid and DRAM keeps [dram_track], a tid no SM uses. *)
+let write_chrome t oc =
+  let module Chrome = Gpp_obs.Chrome in
+  let w = Chrome.create ~epoch:0.0 oc in
+  List.iter
+    (fun e ->
+      Chrome.complete w ~name:e.name ~cat:e.category ~tid:e.track ~ts:(e.start *. 1e6)
+        ~dur:(e.duration *. 1e6))
     (events t);
-  Buffer.add_string buf "]\n";
-  Buffer.contents buf
+  Chrome.close w
 
 let summary t =
   let by_category = Hashtbl.create 8 in

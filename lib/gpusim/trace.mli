@@ -37,9 +37,10 @@ val dropped : t -> int
 val span : t -> float
 (** Latest event end time. *)
 
-val to_chrome_json : t -> string
-(** Chrome trace-event JSON (an array of complete ["X"] events with
-    microsecond timestamps). *)
+val write_chrome : t -> out_channel -> unit
+(** Write the events as a Chrome trace through {!Gpp_obs.Chrome}: one
+    complete (["X"]) event each, with microsecond timestamps and the
+    track as [tid], then close the channel. *)
 
 val summary : t -> string
 (** Aggregate text summary: event counts and busy time per category. *)

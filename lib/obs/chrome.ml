@@ -14,27 +14,7 @@ type t = {
   mutable closed : bool;
 }
 
-(* JSON string escaping: the mandatory set (quote, backslash, control
-   characters).  Span and counter names are ASCII identifiers in
-   practice, so the fast path is a plain copy. *)
-let escape s =
-  let plain c = c >= ' ' && c <> '"' && c <> '\\' && c < '\x7f' in
-  if String.for_all plain s then s
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when c < ' ' || c = '\x7f' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
+module Json = Gpp_util.Json
 
 let create ~epoch oc =
   output_string oc "{\"traceEvents\":[";
@@ -62,29 +42,33 @@ let category name =
 
 let duration_begin t ~name ?(tid = 1) ~ts:abs () =
   emit t "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-    (escape name) (escape (category name)) (ts t abs) tid
+    (Json.escape name) (Json.escape (category name)) (ts t abs) tid
 
 let duration_end t ~name ?(tid = 1) ~ts:abs () =
   emit t "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":%d}"
-    (escape name) (escape (category name)) (ts t abs) tid
+    (Json.escape name) (Json.escape (category name)) (ts t abs) tid
 
 let instant t ~name ?detail ?(tid = 1) ~ts:abs () =
   match detail with
   | None ->
       emit t "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\"}"
-        (escape name) (escape (category name)) (ts t abs) tid
+        (Json.escape name) (Json.escape (category name)) (ts t abs) tid
   | Some d ->
       emit t
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"s\":\"t\",\"args\":{\"detail\":\"%s\"}}"
-        (escape name) (escape (category name)) (ts t abs) tid (escape d)
+        (Json.escape name) (Json.escape (category name)) (ts t abs) tid (Json.escape d)
+
+let complete t ~name ~cat ~tid ~ts:abs ~dur =
+  emit t "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
+    (Json.escape name) (Json.escape cat) (ts t abs) dur tid
 
 let counter t ~name ~value ~ts:abs =
   emit t "{\"name\":\"%s\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"%s\":%d}}"
-    (escape name) (ts t abs) (escape name) value
+    (Json.escape name) (ts t abs) (Json.escape name) value
 
 let metadata t ~name ~value =
   emit t "{\"name\":\"%s\",\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":1,\"args\":{\"name\":\"%s\"}}"
-    (escape name) (escape value)
+    (Json.escape name) (Json.escape value)
 
 let close t =
   if not t.closed then begin

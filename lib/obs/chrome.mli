@@ -6,7 +6,8 @@
     the underlying channel as they are emitted; timestamps are
     microseconds relative to the writer's epoch.  All events carry
     [pid = 1]; duration and instant events accept a [tid] (default 1)
-    so each domain's spans nest on their own timeline track. *)
+    so each domain's spans nest on their own timeline track.  Strings
+    are escaped by {!Gpp_util.Json.escape}. *)
 
 type t
 
@@ -28,6 +29,12 @@ val instant : t -> name:string -> ?detail:string -> ?tid:int -> ts:float -> unit
 (** A thread-scoped ["ph":"i"] instant event (cache hits, flushes...),
     optionally carrying a [detail] argument. *)
 
+val complete : t -> name:string -> cat:string -> tid:int -> ts:float -> dur:float -> unit
+(** A ["ph":"X"] complete event: a span of [dur] microseconds starting
+    at [ts], with an explicit category.  The GPU simulator's timeline
+    export writes one per recorded block, compute chunk, and DRAM
+    service window. *)
+
 val counter : t -> name:string -> value:int -> ts:float -> unit
 (** A ["ph":"C"] counter sample. *)
 
@@ -39,6 +46,3 @@ val close : t -> unit
     closing, every emit is a silent no-op. *)
 
 val event_count : t -> int
-
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)

@@ -1,178 +1,9 @@
-(* Self-contained Chrome-trace validation: a minimal JSON parser plus
+(* Self-contained Chrome-trace validation: the shared JSON parser plus
    structural checks over the event array, so CI can gate on trace
    well-formedness without any external tooling (`grophecy trace
-   selftest`).  The parser accepts exactly the JSON this tool needs to
-   read back — which is full standard JSON minus \u surrogate-pair
-   decoding (escapes are validated, not interpreted). *)
+   selftest`). *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : (json, string) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = Stdlib.incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal lit v =
-    let l = String.length lit in
-    if !pos + l <= n && String.sub s !pos l = lit then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" lit)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | ('"' | '\\' | '/') as c ->
-                   Buffer.add_char b c;
-                   advance ()
-               | 'b' -> Buffer.add_char b '\b'; advance ()
-               | 'f' -> Buffer.add_char b '\012'; advance ()
-               | 'n' -> Buffer.add_char b '\n'; advance ()
-               | 'r' -> Buffer.add_char b '\r'; advance ()
-               | 't' -> Buffer.add_char b '\t'; advance ()
-               | 'u' ->
-                   advance ();
-                   if !pos + 4 > n then fail "truncated \\u escape";
-                   let hex = String.sub s !pos 4 in
-                   String.iter
-                     (fun c ->
-                       match c with
-                       | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                       | _ -> fail "bad \\u escape")
-                     hex;
-                   Buffer.add_string b (Printf.sprintf "\\u%s" hex);
-                   pos := !pos + 4
-               | _ -> fail "bad escape");
-            go ()
-        | c when Char.code c < 0x20 -> fail "raw control character in string"
-        | c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ());
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elements [])
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad msg -> Error msg
+module Json = Gpp_util.Json
 
 (* Trace-level checks. *)
 
@@ -183,8 +14,6 @@ type stats = {
   counter_samples : int;
   max_depth : int;
 }
-
-let field name = function Obj kvs -> List.assoc_opt name kvs | _ -> None
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
@@ -204,10 +33,10 @@ let validate_events events =
           err "unmatched begin event(s) at end of trace: %s" (String.concat ", " leftovers)
         else Ok !stats
     | ev :: rest -> (
-        let get_str k = match field k ev with Some (Str s) -> Some s | _ -> None in
-        let get_num k = match field k ev with Some (Num f) -> Some f | _ -> None in
+        let get_str k = match Json.member k ev with Some (Json.Str s) -> Some s | _ -> None in
+        let get_num k = Option.bind (Json.member k ev) Json.number in
         match ev with
-        | Obj _ -> (
+        | Json.Obj _ -> (
             let name = get_str "name" in
             match get_str "ph" with
             | None -> err "event %d: missing \"ph\"" i
@@ -271,12 +100,12 @@ let validate_events events =
                         count (fun s -> { s with events = s.events + 1; instants = s.instants + 1 });
                         go (i + 1) rest)
                 | "C" -> (
-                    match (name, need_ts_ids (), field "args" ev) with
+                    match (name, need_ts_ids (), Json.member "args" ev) with
                     | None, _, _ -> err "event %d: counter event without a name" i
                     | _, (Error _ as e), _ -> e
-                    | _, _, (None | Some (Obj [])) ->
+                    | _, _, (None | Some (Json.Obj [])) ->
                         err "event %d: counter event without args" i
-                    | Some _, Ok (), Some (Obj _) ->
+                    | Some _, Ok (), Some (Json.Obj _) ->
                         count (fun s ->
                             { s with events = s.events + 1; counter_samples = s.counter_samples + 1 });
                         go (i + 1) rest
@@ -290,14 +119,14 @@ let validate_events events =
   go 0 events
 
 let validate_string s =
-  match parse s with
+  match Json.parse s with
   | Error e -> err "invalid JSON: %s" e
   | Ok json -> (
       match json with
-      | Arr events -> validate_events events
-      | Obj _ -> (
-          match field "traceEvents" json with
-          | Some (Arr events) -> validate_events events
+      | Json.Arr events -> validate_events events
+      | Json.Obj _ -> (
+          match Json.member "traceEvents" json with
+          | Some (Json.Arr events) -> validate_events events
           | Some _ -> Error "\"traceEvents\" is not an array"
           | None -> Error "top-level object has no \"traceEvents\" array")
       | _ -> Error "trace must be an array or an object with \"traceEvents\"")

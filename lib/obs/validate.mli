@@ -1,22 +1,10 @@
 (** Chrome-trace validation without external tooling.
 
-    A minimal JSON parser plus structural checks over the trace-event
+    {!Gpp_util.Json.parse} plus structural checks over the trace-event
     array: every element is an object with a known ["ph"], numeric
     [ts]/[pid]/[tid], names where required, and — the property the
     qcheck suite leans on — every ["B"] begin event is closed by a
     matching ["E"] end event in LIFO order. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val parse : string -> (json, string) result
-(** Standard JSON (escape sequences are validated but [\u] pairs are
-    kept verbatim rather than decoded). *)
 
 type stats = {
   events : int;

@@ -12,8 +12,7 @@ module Error = Gpp_engine.Error
 module Memo = Gpp_cache.Memo
 module Fingerprint = Gpp_cache.Fingerprint
 module Obs = Gpp_obs.Obs
-module Validate = Gpp_obs.Validate
-module Render = Gpp_analysis.Render
+module Json = Gpp_util.Json
 
 let c_requests = Obs.counter "serve.requests"
 let c_connections = Obs.counter "serve.connections"
@@ -42,11 +41,8 @@ let json_ct = "application/json"
 let text_ct = "text/plain; charset=utf-8"
 
 let error_body (e : Error.t) =
-  Render.json_object
-    [
-      ("error", Render.json_string (Error.category e));
-      ("message", Render.json_string (Error.message e));
-    ]
+  Json.obj
+    [ ("error", Json.string (Error.category e)); ("message", Json.string (Error.message e)) ]
 
 let error_triple (e : Error.t) =
   let status = if Error.exit_code e = 2 then 400 else 500 in
@@ -180,7 +176,10 @@ let run_batch (c : Config.t) (r : Http.request) =
         List.map
           (fun s ->
             match int_of_string_opt s with
-            | Some n -> Some n
+            | Some n -> (
+                match Config.validate { c with Config.iterations = Some n } with
+                | Ok _ -> Some n
+                | Error e -> fail e)
             | None -> fail_usage (Printf.sprintf "iterations: %S is not an integer" s))
           (split_csv v)
   in
@@ -224,21 +223,21 @@ let project_params_of_request (r : Http.request) =
   let body = String.trim r.body in
   if body = "" then of_query
   else
-    match Validate.parse body with
+    match Json.parse body with
     | Error msg -> fail_usage (Printf.sprintf "malformed JSON body: %s" msg)
-    | Ok (Validate.Obj fields) ->
+    | Ok (Json.Obj fields) ->
         List.fold_left
           (fun acc (k, v) ->
-            match (k, (v : Validate.json)) with
+            match (k, (v : Json.t)) with
             | "workload", Str s -> { acc with workload = Some s }
             | "machine", Str s -> { acc with machine = Some (machine_of s) }
-            | "seed", Num f when Float.is_integer f -> { acc with seed = Some (Int64.of_float f) }
+            | "seed", Int n -> { acc with seed = Some n }
             | "seed", Str s -> (
                 match Int64.of_string_opt s with
                 | Some n -> { acc with seed = Some n }
                 | None -> fail_usage (Printf.sprintf "seed: %S is not an integer" s))
-            | "iterations", Num f when Float.is_integer f ->
-                { acc with iterations = Some (int_of_float f) }
+            | "iterations", Int n when Int64.equal (Int64.of_int (Int64.to_int n)) n ->
+                { acc with iterations = Some (Int64.to_int n) }
             | _ ->
                 fail_usage
                   (Printf.sprintf
@@ -268,6 +267,7 @@ let run_project (c : Config.t) (r : Http.request) =
         (match p.iterations with Some n -> Some n | None -> Some (Option.value c.iterations ~default:1));
     }
   in
+  let c = match Config.validate c with Ok c -> c | Error e -> fail e in
   let session = Gpp_engine.Pipeline.session_of c in
   match Gpp_engine.Pipeline.run ~through:Gpp_engine.Stage.Project ~session c ~workload with
   | Error e -> fail e
@@ -304,9 +304,9 @@ let health t =
   let uptime = (Obs.now_us () -. t.started_us) /. 1e6 in
   ( 200,
     json_ct,
-    Render.json_object
+    Json.obj
       [
-        ("status", Render.json_string "ok");
+        ("status", Json.string "ok");
         ("uptime_seconds", Printf.sprintf "%.3f" uptime);
         ("requests", string_of_int (Atomic.get t.served));
       ] )

@@ -34,6 +34,11 @@ let check_core_error msg = function
   | Ok _ -> Alcotest.failf "%s: expected an error" msg
   | Error (e : Gpp_core.Error.t) -> e
 
+(* The whole pipeline on a hand-built program, in the default scenario
+   (or [config]) moved to the session's machine. *)
+let analyze ?(config = Gpp_engine.Config.default) (session : Gpp_core.Grophecy.session) program =
+  Gpp_engine.Pipeline.analyze_program ~session { config with machine = session.machine } program
+
 let check_raises_invalid msg f =
   match f () with
   | exception Invalid_argument _ -> ()

@@ -745,136 +745,22 @@ let test_code_index_covers_report_codes () =
       Alcotest.(check bool) (code ^ " indexed") true (List.mem code indexed))
     [ "GPP001"; "GPP101"; "GPP203"; "GPP301"; "GPP402"; "GPP505" ]
 
-(* JSON output: a minimal RFC 8259 parser (objects, arrays, strings,
-   numbers, booleans, null) so the report can be schema-checked without
-   a JSON dependency. *)
+(* JSON output is schema-checked through the shared parser. *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+module Json = Gpp_util.Json
 
-let parse_json text =
-  let pos = ref 0 in
-  let n = String.length text in
-  let fail fmt = Format.kasprintf (fun s -> Alcotest.failf "JSON parse: %s (at %d)" s !pos) fmt in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail "expected %C" c
-  in
-  let literal word value =
-    if !pos + String.length word <= n && String.sub text !pos (String.length word) = word then begin
-      pos := !pos + String.length word;
-      value
-    end
-    else fail "bad literal"
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              pos := !pos + 4;
-              Buffer.add_char buf '?';
-              go ()
-          | Some c -> advance (); Buffer.add_char buf c; go ()
-          | None -> fail "truncated escape")
-      | Some c -> advance (); Buffer.add_char buf c; go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < n
-      && match text.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Jobj [] end
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, value) :: acc)
-            | Some '}' -> advance (); Jobj (List.rev ((key, value) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Jarr [] end
-        else
-          let rec items acc =
-            let value = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (value :: acc)
-            | Some ']' -> advance (); Jarr (List.rev (value :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let json_exn text =
+  match Json.parse text with Ok v -> v | Error e -> Alcotest.failf "JSON parse: %s" e
 
-let field obj key =
-  match obj with
-  | Jobj fields -> List.assoc_opt key fields
-  | _ -> None
+let field obj key = Json.member key obj
 
 let field_exn msg obj key =
   match field obj key with Some v -> v | None -> Alcotest.failf "%s: missing field %s" msg key
 
-let as_string msg = function Jstr s -> s | _ -> Alcotest.failf "%s: expected a string" msg
+let as_string msg = function Json.Str s -> s | _ -> Alcotest.failf "%s: expected a string" msg
 
 let as_int msg = function
-  | Jnum f when Float.is_integer f -> int_of_float f
+  | Json.Int i -> Int64.to_int i
   | _ -> Alcotest.failf "%s: expected an integer" msg
 
 let is_code s =
@@ -908,11 +794,11 @@ end
 let test_json_schema_roundtrip () =
   let report = lint_source defect_soup in
   Alcotest.(check bool) "fixture has findings" true (report.Driver.diagnostics <> []);
-  let json = parse_json (Render.to_json report) in
+  let json = json_exn (Render.to_json report) in
   Alcotest.(check string) "program name" report.Driver.program_name
     (as_string "program" (field_exn "root" json "program"));
   (match field_exn "root" json "valid" with
-  | Jbool b -> Alcotest.(check bool) "valid flag" report.Driver.valid b
+  | Json.Bool b -> Alcotest.(check bool) "valid flag" report.Driver.valid b
   | _ -> Alcotest.fail "valid: expected a bool");
   let summary = field_exn "root" json "summary" in
   Alcotest.(check int) "errors" (Driver.errors report)
@@ -922,12 +808,12 @@ let test_json_schema_roundtrip () =
   Alcotest.(check int) "infos" (Driver.infos report)
     (as_int "infos" (field_exn "summary" summary "infos"));
   (match field_exn "root" json "passes" with
-  | Jarr passes ->
+  | Json.Arr passes ->
       Alcotest.(check (list string)) "passes round-trip" report.Driver.passes_run
         (List.map (as_string "pass") passes)
   | _ -> Alcotest.fail "passes: expected an array");
   match field_exn "root" json "diagnostics" with
-  | Jarr diags ->
+  | Json.Arr diags ->
       Alcotest.(check int) "diagnostic count" (List.length report.Driver.diagnostics)
         (List.length diags);
       List.iter2
@@ -940,7 +826,7 @@ let test_json_schema_roundtrip () =
           Alcotest.(check string) "message round-trips" expected.D.message
             (as_string "message" (field_exn "diag" j "message"));
           (match field_exn "diag" j "payload" with
-          | Jobj payload ->
+          | Json.Obj payload ->
               Alcotest.(check (list string)) "payload keys"
                 (List.map fst expected.D.payload)
                 (List.map fst payload)
@@ -964,22 +850,22 @@ let test_json_schema_roundtrip () =
 
 let test_json_reports_array () =
   let reports = [ lint_source clean_base; lint_source defect_soup ] in
-  match parse_json (Render.json_of_reports reports) with
-  | Jarr [ a; b ] ->
+  match json_exn (Render.to_json_list reports) with
+  | Json.Arr [ a; b ] ->
       Alcotest.(check string) "first" "clean" (as_string "program" (field_exn "r" a "program"));
       Alcotest.(check string) "second" "soup" (as_string "program" (field_exn "r" b "program"))
   | _ -> Alcotest.fail "expected a two-element JSON array"
 
-(* SARIF export: schema-shape checks through the same embedded JSON
-   parser — one run, one reportingDescriptor per indexed code, one
-   result per diagnostic with a consistent ruleId/ruleIndex pair. *)
+(* SARIF export: schema-shape checks through the same JSON parser —
+   one run, one reportingDescriptor per indexed code, one result per
+   diagnostic with a consistent ruleId/ruleIndex pair. *)
 
-let as_array msg = function Jarr items -> items | _ -> Alcotest.failf "%s: expected an array" msg
+let as_array msg = function Json.Arr items -> items | _ -> Alcotest.failf "%s: expected an array" msg
 
 let test_sarif_schema () =
   let reports = [ lint_source clean_base; lint_source defect_soup ] in
   let diagnostics = List.concat_map (fun (r : Driver.report) -> r.Driver.diagnostics) reports in
-  let sarif = parse_json (Gpp_analysis.Sarif.of_reports reports) in
+  let sarif = json_exn (Gpp_analysis.Sarif.of_reports reports) in
   Alcotest.(check string) "version" "2.1.0"
     (as_string "version" (field_exn "root" sarif "version"));
   Helpers.check_contains "schema uri names 2.1.0" ~needle:"sarif-schema-2.1.0"

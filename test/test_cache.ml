@@ -161,16 +161,12 @@ let report_exn = function
   | Ok r -> r
   | Error e -> Alcotest.failf "analyze failed: %s" (Gpp_core.Error.to_string e)
 
-let analyze_fresh ?cache () =
+let analyze_fresh () =
   (* A fresh session per run: Grophecy.init and the transfer
      measurements are deliberately uncached (the link is stateful), so
      identical seeds must reproduce them exactly. *)
   let session = Gpp_core.Grophecy.init Gpp_arch.Machine.argonne_node in
-  report_exn
-    (Gpp_core.Grophecy.analyze
-       ~params:{ Gpp_core.Grophecy.default_params with Gpp_core.Grophecy.cache }
-       session
-       (Gpp_workloads.Vecadd.program ~n:100_000))
+  report_exn (Helpers.analyze session (Gpp_workloads.Vecadd.program ~n:100_000))
 
 let test_cached_vs_uncached_identical () =
   let uncached = Control.without_cache (fun () -> analyze_fresh ()) in

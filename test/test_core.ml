@@ -1,5 +1,5 @@
 (* Tests for Gpp_core: projection, measurement, evaluation, and the
-   Grophecy facade. *)
+   Grophecy sessions and reports. *)
 
 module Projection = Gpp_core.Projection
 module Measurement = Gpp_core.Measurement
@@ -15,6 +15,12 @@ let project program =
   let s = Lazy.force session in
   Helpers.check_core "projection"
     (Projection.project ~pricing:s.Grophecy.pricing program)
+
+(* Measure a finished projection's chosen kernels and planned
+   transfers. *)
+let measure ?seed ~link (p : Projection.t) =
+  Measurement.measure_parts ?seed ~link ~machine:p.Projection.machine
+    ~kernels:p.Projection.kernels ~plan:p.Projection.plan p.Projection.program
 
 let test_projection_structure () =
   let program = Helpers.chain_program ~n:(1 lsl 16) () in
@@ -61,7 +67,7 @@ let test_measurement_structure () =
   let s = Lazy.force session in
   let p = project (Helpers.chain_program ~n:(1 lsl 16) ()) in
   let m =
-    Helpers.check_core "measurement" (Measurement.measure ~link:s.Grophecy.application_link p)
+    Helpers.check_core "measurement" (measure ~link:s.Grophecy.application_link p)
   in
   Helpers.check_positive "kernel time" m.Measurement.kernel_time;
   Helpers.check_positive "transfer time" m.Measurement.transfer_time;
@@ -75,15 +81,15 @@ let test_measurement_structure () =
 let test_measurement_seed_determinism () =
   let s = Lazy.force session in
   let p = project (Helpers.chain_program ~n:(1 lsl 14) ()) in
-  let m1 = Helpers.check_core "m1" (Measurement.measure ~seed:11L ~link:s.Grophecy.calibration_link p) in
-  let m2 = Helpers.check_core "m2" (Measurement.measure ~seed:11L ~link:s.Grophecy.calibration_link p) in
+  let m1 = Helpers.check_core "m1" (measure ~seed:11L ~link:s.Grophecy.calibration_link p) in
+  let m2 = Helpers.check_core "m2" (measure ~seed:11L ~link:s.Grophecy.calibration_link p) in
   Helpers.close "same seed same kernel time" m1.Measurement.kernel_time m2.Measurement.kernel_time
 
 let test_evaluation_speedup_identities () =
   let s = Lazy.force session in
   let program = Gpp_workloads.Hotspot.program ~n:256 () in
   let p = project program in
-  let m = Helpers.check_core "m" (Measurement.measure ~link:s.Grophecy.application_link p) in
+  let m = Helpers.check_core "m" (measure ~link:s.Grophecy.application_link p) in
   let cpu_time = Evaluation.cpu_time ~machine program in
   let sp = Evaluation.speedups ~cpu_time p m in
   Helpers.close_rel ~tolerance:1e-6 "measured identity"
@@ -104,7 +110,7 @@ let test_evaluation_speedup_identities () =
 let test_iteration_sweep_monotone () =
   let s = Lazy.force session in
   let report =
-    Helpers.check_core "analyze" (Grophecy.analyze s (Gpp_workloads.Srad.program ~n:512 ()))
+    Helpers.check_core "analyze" (Helpers.analyze s (Gpp_workloads.Srad.program ~n:512 ()))
   in
   let sweep = Grophecy.iteration_sweep report ~iterations:[ 1; 2; 4; 8; 16; 64; 256 ] in
   let measured =
@@ -122,7 +128,7 @@ let test_iteration_sweep_monotone () =
 let test_limit_speedups () =
   let s = Lazy.force session in
   let report =
-    Helpers.check_core "analyze" (Grophecy.analyze s (Gpp_workloads.Srad.program ~n:512 ()))
+    Helpers.check_core "analyze" (Helpers.analyze s (Gpp_workloads.Srad.program ~n:512 ()))
   in
   let limit = Evaluation.limit_speedups report.Grophecy.projection report.Grophecy.measurement in
   (* In the limit, predictions with and without transfers coincide. *)
@@ -139,16 +145,16 @@ let test_limit_speedups () =
 let test_facade_report () =
   let s = Lazy.force session in
   let report =
-    Helpers.check_core "analyze" (Grophecy.analyze s (Gpp_workloads.Hotspot.program ~n:256 ()))
+    Helpers.check_core "analyze" (Helpers.analyze s (Gpp_workloads.Hotspot.program ~n:256 ()))
   in
   Helpers.check_positive "cpu time" report.Grophecy.cpu_time;
   Helpers.check_non_negative "kernel error" report.Grophecy.kernel_error;
   Helpers.check_non_negative "transfer error" report.Grophecy.transfer_error;
-  (* analyze with params.iterations rescales before projecting. *)
+  (* A scenario with iterations set rescales before projecting. *)
   let r4 =
     Helpers.check_core "analyze 4"
-      (Grophecy.analyze
-         ~params:{ Grophecy.default_params with Grophecy.iterations = Some 4 }
+      (Helpers.analyze
+         ~config:{ Gpp_engine.Config.default with iterations = Some 4 }
          s
          (Gpp_workloads.Hotspot.program ~n:256 ()))
   in

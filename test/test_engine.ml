@@ -1,7 +1,7 @@
 (* Tests for Gpp_engine: sexp parsing, layered scenario configuration,
    structured errors and their exit-code mapping, workload resolution,
-   the staged pipeline (including bit-parity with the core facade), and
-   the batch runner. *)
+   the staged pipeline (including bit-parity between its two entry
+   points), and the batch runner. *)
 
 module Engine = Gpp_engine
 module Config = Gpp_engine.Config
@@ -79,8 +79,12 @@ let test_config_defaults_mirror_init () =
   Helpers.close "outlier" 0.05 c.Config.outlier_probability;
   Alcotest.(check bool) "cache on" true c.Config.cache_enabled;
   Alcotest.(check bool) "lint off" false c.Config.lint;
-  (* The per-call projection of a default scenario is default_params. *)
-  Alcotest.(check bool) "core params" true (Config.core_params c = Grophecy.default_params)
+  (* The default scenario's session is the one [Grophecy.init machine]
+     calibrates. *)
+  let engine = Engine.Pipeline.session_of c and core = Grophecy.init c.Config.machine in
+  Alcotest.(check bool) "same h2d model" true (engine.Grophecy.h2d = core.Grophecy.h2d);
+  Alcotest.(check bool) "same d2h model" true (engine.Grophecy.d2h = core.Grophecy.d2h);
+  Alcotest.(check int64) "same noise seed" core.Grophecy.noise_seed engine.Grophecy.noise_seed
 
 let test_config_file_layer () =
   let path =
@@ -169,6 +173,39 @@ let test_config_precedence () =
   (* flags beat env *)
   Alcotest.(check int64) "seed from flags" 333L c.Config.seed
 
+(* Runs and iterations below 1 would crash the simulators and the
+   iteration rescaling; every layer must reject them as a config error
+   (exit 2) instead. *)
+let expect_range_error what ~needle result =
+  match result with
+  | Ok (_ : Config.t) -> Alcotest.failf "%s: expected a config error" what
+  | Error e ->
+      Alcotest.(check string) (what ^ ": category") "config" (Error.category e);
+      Alcotest.(check int) (what ^ ": exit code") 2 (Error.exit_code e);
+      Helpers.check_contains what ~needle (Error.message e)
+
+let test_config_flag_below_one () =
+  let overrides = { Config.no_overrides with Config.o_iterations = Some 0 } in
+  expect_range_error "--iterations 0" ~needle:"iterations = 0"
+    (Config.resolve ~getenv:(getenv_of []) ~overrides ());
+  let overrides = { Config.no_overrides with Config.o_runs = Some 0 } in
+  expect_range_error "--runs 0" ~needle:"runs = 0"
+    (Config.resolve ~getenv:(getenv_of []) ~overrides ())
+
+let test_config_env_below_one () =
+  expect_range_error "GPP_ITERATIONS=0" ~needle:"iterations = 0"
+    (Config.resolve ~getenv:(getenv_of [ ("GPP_ITERATIONS", "0") ]) ());
+  expect_range_error "GPP_RUNS=0" ~needle:"runs = 0"
+    (Config.resolve ~getenv:(getenv_of [ ("GPP_RUNS", "0") ]) ())
+
+let test_config_file_below_one () =
+  List.iter
+    (fun (text, needle) ->
+      let path = write_temp ~suffix:".sexp" text in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      expect_range_error text ~needle (Config.resolve ~getenv:(getenv_of []) ~file:path ()))
+    [ ("((runs 0))", "runs = 0"); ("((iterations -1))", "iterations = -1") ]
+
 let test_config_transfer_plan_layers () =
   let module Analyzer = Gpp_dataflow.Analyzer in
   let plan_of (c : Config.t) =
@@ -250,33 +287,57 @@ let test_stage_metadata () =
       Alcotest.(check int) "stage order" i (Engine.Stage.index st.Engine.Pipeline.id))
     Engine.Pipeline.stages
 
-(* The tentpole's safety net: the staged pipeline must be bit-identical
-   to the one-call facade it replaced. *)
-let test_pipeline_matches_facade () =
+(* The pipeline's two entry points must agree bit for bit: a program
+   handed over in code and the same program read back from a .skel
+   file. *)
+let test_pipeline_program_matches_skel () =
   let program = Gpp_workloads.Vecadd.program ~n:100_000 in
   let path = write_temp ~suffix:".skel" (Gpp_skeleton.Printer.to_skel program) in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let config = { Config.default with Config.seed = 2024L } in
   (* Two fresh sessions with the same seed: the application link is
      stateful, so each path needs its own. *)
-  let facade_session = Grophecy.init ~seed:config.Config.seed config.Config.machine in
-  let facade_report =
-    Helpers.check_core "facade" (Grophecy.analyze facade_session program)
+  let program_report =
+    Helpers.check_core "program"
+      (Engine.Pipeline.analyze_program ~session:(Engine.Pipeline.session_of config) config
+         program)
   in
-  let engine_session = Engine.Pipeline.session_of config in
   let state =
-    Helpers.check_core "pipeline"
-      (Engine.Pipeline.run ~session:engine_session config ~workload:path)
+    Helpers.check_core "skel"
+      (Engine.Pipeline.run ~session:(Engine.Pipeline.session_of config) config ~workload:path)
   in
-  let engine_report = Engine.Pipeline.report_exn state in
+  let skel_report = Engine.Pipeline.report_exn state in
   Alcotest.(check string)
     "reports render identically"
-    (Format.asprintf "%a" Grophecy.pp_report facade_report)
-    (Format.asprintf "%a" Grophecy.pp_report engine_report);
+    (Format.asprintf "%a" Grophecy.pp_report program_report)
+    (Format.asprintf "%a" Grophecy.pp_report skel_report);
+  let bits (r : Grophecy.report) =
+    let p = r.Grophecy.projection and m = r.Grophecy.measurement in
+    let s = r.Grophecy.speedups and e = r.Grophecy.errors in
+    List.map Int64.bits_of_float
+      [
+        p.Gpp_core.Projection.kernel_time;
+        p.Gpp_core.Projection.transfer_time;
+        p.Gpp_core.Projection.predicted_total;
+        m.Gpp_core.Measurement.kernel_time;
+        m.Gpp_core.Measurement.transfer_time;
+        r.Grophecy.cpu_time;
+        s.Gpp_core.Evaluation.measured;
+        s.Gpp_core.Evaluation.kernel_only;
+        s.Gpp_core.Evaluation.transfer_only;
+        s.Gpp_core.Evaluation.with_transfer;
+        e.Gpp_core.Evaluation.kernel_only;
+        e.Gpp_core.Evaluation.transfer_only;
+        e.Gpp_core.Evaluation.with_transfer;
+        r.Grophecy.kernel_error;
+        r.Grophecy.transfer_error;
+      ]
+  in
+  Alcotest.(check (list int64)) "bitwise report figures" (bits program_report) (bits skel_report);
   Alcotest.(check bool)
     "bitwise kernel time" true
-    (Int64.bits_of_float facade_report.Grophecy.measurement.Gpp_core.Measurement.kernel_time
-    = Int64.bits_of_float engine_report.Grophecy.measurement.Gpp_core.Measurement.kernel_time);
+    (Int64.bits_of_float program_report.Grophecy.measurement.Gpp_core.Measurement.kernel_time
+    = Int64.bits_of_float skel_report.Grophecy.measurement.Gpp_core.Measurement.kernel_time);
   (* Stage bookkeeping: everything ran except Lint (config.lint=false). *)
   let ran = Engine.Pipeline.completed state in
   Alcotest.(check bool) "lint skipped" true (not (List.mem Engine.Stage.Lint ran));
@@ -364,13 +425,16 @@ let () =
           Alcotest.test_case "env layer" `Quick test_config_env_layer;
           Alcotest.test_case "precedence" `Quick test_config_precedence;
           Alcotest.test_case "transfer-plan layers" `Quick test_config_transfer_plan_layers;
+          Alcotest.test_case "flag below one" `Quick test_config_flag_below_one;
+          Alcotest.test_case "env below one" `Quick test_config_env_below_one;
+          Alcotest.test_case "file below one" `Quick test_config_file_below_one;
         ] );
       ( "workload",
         [ Alcotest.test_case "resolve" `Quick test_workload_resolve ] );
       ( "pipeline",
         [
           Alcotest.test_case "stage metadata" `Quick test_stage_metadata;
-          Alcotest.test_case "matches facade" `Quick test_pipeline_matches_facade;
+          Alcotest.test_case "program matches skel" `Quick test_pipeline_program_matches_skel;
           Alcotest.test_case "partial run" `Quick test_pipeline_partial_run;
         ] );
       ( "batch",

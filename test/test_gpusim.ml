@@ -165,13 +165,21 @@ let test_trace_records_categories () =
 let test_trace_chrome_json () =
   let tr = Trace.create () in
   Trace.record tr ~name:"say \"hi\"" ~category:"compute" ~track:3 ~start:1e-6 ~duration:2e-6;
-  let json = Trace.to_chrome_json tr in
+  Trace.record tr ~name:"mem" ~category:"dram" ~track:Trace.dram_track ~start:0.0 ~duration:1e-6;
+  let path = Filename.temp_file "gpp-gpusim-trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Trace.write_chrome tr (open_out path);
+  let json = In_channel.with_open_bin path In_channel.input_all in
   Helpers.check_contains "escaped name" ~needle:"say \\\"hi\\\"" json;
+  Helpers.check_contains "complete event" ~needle:"\"ph\":\"X\"" json;
   Helpers.check_contains "microseconds" ~needle:"\"ts\":1.000" json;
   Helpers.check_contains "duration" ~needle:"\"dur\":2.000" json;
-  Helpers.check_contains "track" ~needle:"\"tid\":3" json;
-  Alcotest.(check bool) "array shape" true
-    (String.length json > 2 && json.[0] = '[' && String.contains json ']')
+  Helpers.check_contains "SM track" ~needle:"\"tid\":3" json;
+  Helpers.check_contains "DRAM track" ~needle:(Printf.sprintf "\"tid\":%d" Trace.dram_track) json;
+  (* The obs writer's object format, accepted by the trace validator. *)
+  match Gpp_obs.Validate.validate_string json with
+  | Ok st -> Alcotest.(check int) "two complete events" 2 st.Gpp_obs.Validate.spans
+  | Error e -> Alcotest.failf "invalid trace: %s" e
 
 let test_trace_capacity () =
   let tr = Trace.create ~capacity:2 () in

@@ -37,7 +37,7 @@ let matmul_program ~n =
 let test_matmul_end_to_end () =
   let s = Lazy.force session in
   let n = 512 in
-  let report = Helpers.check_core "analyze" (Grophecy.analyze s (matmul_program ~n)) in
+  let report = Helpers.check_core "analyze" (Helpers.analyze s (matmul_program ~n)) in
   (* Transfer plan: all three matrices in (c is read-modify-write), one
      out. *)
   let plan = report.Grophecy.projection.Gpp_core.Projection.plan in
@@ -55,7 +55,7 @@ let test_vecadd_paper_story () =
      to end once three bus crossings are paid. *)
   let s = Lazy.force session in
   let report =
-    Helpers.check_core "analyze" (Grophecy.analyze s (Gpp_workloads.Vecadd.program ~n:(16 * 1024 * 1024)))
+    Helpers.check_core "analyze" (Helpers.analyze s (Gpp_workloads.Vecadd.program ~n:(16 * 1024 * 1024)))
   in
   let sp = report.Grophecy.speedups in
   Alcotest.(check bool) "kernel alone looks great" true (sp.Evaluation.kernel_only > 2.0);
@@ -75,7 +75,7 @@ let test_headline_error_reduction () =
     List.map
       (fun (inst : Gpp_workloads.Registry.instance) ->
         Helpers.check_core (Gpp_workloads.Registry.key inst)
-          (Grophecy.analyze s (inst.Gpp_workloads.Registry.program 1)))
+          (Helpers.analyze s (inst.Gpp_workloads.Registry.program 1)))
       Gpp_workloads.Registry.paper_instances
   in
   let mean select = Gpp_util.Stats.mean (List.map select reports) in
@@ -95,7 +95,7 @@ let test_transfer_overhead_prediction_accuracy () =
     (fun (inst : Gpp_workloads.Registry.instance) ->
       let report =
         Helpers.check_core (Gpp_workloads.Registry.key inst)
-          (Grophecy.analyze s (inst.Gpp_workloads.Registry.program 1))
+          (Helpers.analyze s (inst.Gpp_workloads.Registry.program 1))
       in
       Helpers.check_in_range
         (Gpp_workloads.Registry.key inst ^ " transfer error")
@@ -108,8 +108,8 @@ let test_cross_machine_projection () =
   let argonne = Lazy.force session in
   let modern = Grophecy.init Gpp_arch.Machine.modern_node in
   let program = Gpp_workloads.Srad.program ~n:1024 () in
-  let r_old = Helpers.check_core "argonne" (Grophecy.analyze argonne program) in
-  let r_new = Helpers.check_core "modern" (Grophecy.analyze modern program) in
+  let r_old = Helpers.check_core "argonne" (Helpers.analyze argonne program) in
+  let r_new = Helpers.check_core "modern" (Helpers.analyze modern program) in
   Alcotest.(check bool) "newer GPU faster" true
     (r_new.Grophecy.projection.Gpp_core.Projection.kernel_time
     < r_old.Grophecy.projection.Gpp_core.Projection.kernel_time);
@@ -121,10 +121,10 @@ let test_reproducibility_across_sessions () =
   (* Two sessions with the same seed produce identical reports. *)
   let program = Gpp_workloads.Hotspot.program ~n:256 () in
   let r1 =
-    Helpers.check_core "r1" (Grophecy.analyze (Grophecy.init ~seed:123L machine) program)
+    Helpers.check_core "r1" (Helpers.analyze (Grophecy.init ~seed:123L machine) program)
   in
   let r2 =
-    Helpers.check_core "r2" (Grophecy.analyze (Grophecy.init ~seed:123L machine) program)
+    Helpers.check_core "r2" (Helpers.analyze (Grophecy.init ~seed:123L machine) program)
   in
   Helpers.close "kernel time reproducible"
     r1.Grophecy.measurement.Gpp_core.Measurement.kernel_time
@@ -138,10 +138,10 @@ let test_reproducibility_across_sessions () =
 let test_different_seeds_differ () =
   let program = Gpp_workloads.Hotspot.program ~n:256 () in
   let r1 =
-    Helpers.check_core "r1" (Grophecy.analyze (Grophecy.init ~seed:1L machine) program)
+    Helpers.check_core "r1" (Helpers.analyze (Grophecy.init ~seed:1L machine) program)
   in
   let r2 =
-    Helpers.check_core "r2" (Grophecy.analyze (Grophecy.init ~seed:2L machine) program)
+    Helpers.check_core "r2" (Helpers.analyze (Grophecy.init ~seed:2L machine) program)
   in
   Alcotest.(check bool) "seeds change measurements" true
     (r1.Grophecy.measurement.Gpp_core.Measurement.kernel_time

@@ -11,7 +11,7 @@ module Config = Gpp_engine.Config
 module Error = Gpp_engine.Error
 module Memo = Gpp_cache.Memo
 module Serve = Gpp_serve.Serve
-module Validate = Gpp_obs.Validate
+module Json = Gpp_util.Json
 
 let tmp_cache_dir =
   let dir =
@@ -106,8 +106,8 @@ let test_concurrent_duplicates_one_miss () =
 let test_malformed_request_structured_400 () =
   let status, _, body = get ~meth:"POST" ~body:"{not json" "/project" in
   Alcotest.(check int) "status" 400 status;
-  (match Validate.parse body with
-  | Ok (Validate.Obj fields) ->
+  (match Json.parse body with
+  | Ok (Json.Obj fields) ->
       Alcotest.(check bool) "has error field" true (List.mem_assoc "error" fields);
       Alcotest.(check bool) "has message field" true (List.mem_assoc "message" fields)
   | Ok _ -> Alcotest.fail "error body is not a JSON object"
@@ -122,20 +122,69 @@ let test_malformed_request_structured_400 () =
   let status, _, _ = get "/healthz" in
   Alcotest.(check int) "server still alive" 200 status
 
+(* A POST body must mean exactly what the matching query string means:
+   integer seeds stay exact (2^53 + 1 is not rounded to 2^53) and \u
+   escapes decode. *)
+let check_post_matches_get what ~query ~body =
+  let get_status, _, get_body = get ("/project?" ^ query) in
+  let post_status, _, post_body = get ~meth:"POST" ~body "/project" in
+  Alcotest.(check int) (what ^ ": GET status") 200 get_status;
+  Alcotest.(check int) (what ^ ": POST status") 200 post_status;
+  Alcotest.(check string) (what ^ ": POST body = GET body") get_body post_body;
+  get_body
+
+let test_post_seed_exact () =
+  let exact =
+    check_post_matches_get "seed 2^53+1" ~query:"workload=hotspot/64%20x%2064&seed=9007199254740993"
+      ~body:{|{"workload":"hotspot/64 x 64","seed":9007199254740993}|}
+  in
+  let _, _, rounded = get "/project?workload=hotspot/64%20x%2064&seed=9007199254740992" in
+  Alcotest.(check bool) "the seed reaches the projection" true (exact <> rounded)
+
+let test_post_unicode_escape () =
+  ignore
+    (check_post_matches_get "escaped slash" ~query:"workload=hotspot/64%20x%2064"
+       ~body:{|{"workload":"hotspot\u002f64 x 64"}|})
+
+let check_400 what ?meth ?body target =
+  let status, _, reply = get ?meth ?body target in
+  Alcotest.(check int) (what ^ ": status") 400 status;
+  match Json.parse reply with
+  | Ok json ->
+      Alcotest.(check bool) (what ^ ": error field") true (Json.member "error" json <> None)
+  | Error msg -> Alcotest.failf "%s: error body is not JSON: %s" what msg
+
+let test_query_below_one_400 () =
+  check_400 "project iterations=0" "/project?workload=vecadd/16M&iterations=0";
+  check_400 "batch iterations=0" "/batch?workloads=vecadd/16M&iterations=0"
+
+let test_body_below_one_400 () =
+  check_400 "iterations 0" ~meth:"POST" ~body:{|{"workload":"vecadd/16M","iterations":0}|}
+    "/project";
+  (* Numbers that are not exact integers in range are 400s too. *)
+  List.iter
+    (fun body -> check_400 body ~meth:"POST" ~body "/project")
+    [
+      {|{"workload":"vecadd/16M","seed":1e30}|};
+      {|{"workload":"vecadd/16M","seed":99999999999999999999}|};
+      {|{"workload":"vecadd/16M","iterations":1e30}|};
+      {|{"workload":"vecadd/16M","iterations":2.5}|};
+    ]
+
 let test_healthz_shape () =
   let status, _, body = get "/healthz" in
   Alcotest.(check int) "status" 200 status;
-  match Validate.parse body with
-  | Ok (Validate.Obj fields) -> (
+  match Json.parse body with
+  | Ok (Json.Obj fields as json) -> (
       (match List.assoc_opt "status" fields with
-      | Some (Validate.Str s) -> Alcotest.(check string) "status field" "ok" s
+      | Some (Json.Str s) -> Alcotest.(check string) "status field" "ok" s
       | _ -> Alcotest.fail "healthz: missing string status");
-      (match List.assoc_opt "uptime_seconds" fields with
-      | Some (Validate.Num u) -> Alcotest.(check bool) "uptime >= 0" true (u >= 0.)
-      | _ -> Alcotest.fail "healthz: missing numeric uptime_seconds");
+      (match Option.bind (Json.member "uptime_seconds" json) Json.number with
+      | Some u -> Alcotest.(check bool) "uptime >= 0" true (u >= 0.)
+      | None -> Alcotest.fail "healthz: missing numeric uptime_seconds");
       match List.assoc_opt "requests" fields with
-      | Some (Validate.Num r) -> Alcotest.(check bool) "requests >= 0" true (r >= 0.)
-      | _ -> Alcotest.fail "healthz: missing numeric requests")
+      | Some (Json.Int r) -> Alcotest.(check bool) "requests >= 0" true (r >= 0L)
+      | _ -> Alcotest.fail "healthz: missing integer requests")
   | Ok _ -> Alcotest.fail "healthz body is not a JSON object"
   | Error msg -> Alcotest.failf "healthz body is not JSON: %s" msg
 
@@ -224,6 +273,10 @@ let () =
             test_concurrent_duplicates_one_miss;
           Alcotest.test_case "malformed request: structured 400" `Quick
             test_malformed_request_structured_400;
+          Alcotest.test_case "POST seed is exact" `Quick test_post_seed_exact;
+          Alcotest.test_case "POST unicode escapes decode" `Quick test_post_unicode_escape;
+          Alcotest.test_case "query iterations below 1: 400" `Quick test_query_below_one_400;
+          Alcotest.test_case "body iterations below 1: 400" `Quick test_body_below_one_400;
           Alcotest.test_case "healthz shape" `Quick test_healthz_shape;
           Alcotest.test_case "metrics shape" `Quick test_metrics_shape;
           Alcotest.test_case "broken pipe: connection only" `Quick

@@ -1,5 +1,6 @@
-(* Tests for Gpp_util: RNG, statistics, units, tables, plots. *)
+(* Tests for Gpp_util: RNG, statistics, units, tables, plots, JSON. *)
 
+module Json = Gpp_util.Json
 module Rng = Gpp_util.Rng
 module Stats = Gpp_util.Stats
 module Units = Gpp_util.Units
@@ -244,6 +245,82 @@ let test_plot_drops_nonpositive_on_log () =
   (* Must not raise despite non-positive x values on a log axis. *)
   Alcotest.(check bool) "renders" true (String.length (Gpp_util.Ascii_plot.render plot) > 0)
 
+(* JSON *)
+
+(* Byte strings weighted toward the bytes an escaper can get wrong:
+   control bytes, the quote, the backslash, DEL, and non-ASCII. *)
+let awkward_string =
+  let open QCheck2.Gen in
+  string_of
+    (frequency
+       [
+         (3, char_range ' ' '~');
+         (2, oneofl [ '\x00'; '\x01'; '\b'; '\x0c'; '\n'; '\r'; '\t'; '\x1f'; '"'; '\\'; '\x7f' ]);
+         (1, char_range '\x80' '\xff');
+       ])
+
+let test_codec_strings_roundtrip =
+  Helpers.qtest "parse (string s) = Str s" awkward_string (fun s ->
+      Json.parse (Json.string s) = Ok (Json.Str s))
+
+let test_codec_int64_roundtrip =
+  Helpers.qtest "int64 lexemes stay exact"
+    QCheck2.Gen.(oneof [ int64; oneofl [ Int64.min_int; Int64.max_int; 0L; 9007199254740993L ] ])
+    (fun i -> Json.parse (Int64.to_string i) = Ok (Json.Int i))
+
+(* The one escaping rule, pinned: short escapes for \n \r \t, \u00XX for
+   the other control bytes, DEL and non-ASCII verbatim. *)
+let test_codec_escape_rule () =
+  List.iter
+    (fun (raw, escaped) -> Alcotest.(check string) (String.escaped raw) escaped (Json.escape raw))
+    [
+      ("\n", {|\n|});
+      ("\r", {|\r|});
+      ("\t", {|\t|});
+      ("\x01", {|\u0001|});
+      ("\x7f", "\x7f");
+      ("\"", {|\"|});
+      ("\\", {|\\|});
+      ("plain \xc3\xa9", "plain \xc3\xa9");
+    ]
+
+let test_codec_parse_cases () =
+  let ok text expected =
+    match Json.parse text with
+    | Ok v -> Alcotest.(check bool) text true (v = expected)
+    | Error e -> Alcotest.failf "%s: %s" text e
+  in
+  let bad text =
+    match Json.parse text with
+    | Ok _ -> Alcotest.failf "%s: expected a parse error" text
+    | Error _ -> ()
+  in
+  (* \u escapes decode to UTF-8, surrogate pairs included. *)
+  ok {|"a\u002fb"|} (Json.Str "a/b");
+  ok {|"\u00e9"|} (Json.Str "\xc3\xa9");
+  ok {|"\u20ac"|} (Json.Str "\xe2\x82\xac");
+  ok {|"\ud83d\ude00"|} (Json.Str "\xf0\x9f\x98\x80");
+  bad {|"\ud83d"|};
+  bad {|"\ude00"|};
+  bad {|"\ud83dx"|};
+  (* Integer lexemes are exact; everything else is a float. *)
+  ok "9007199254740993" (Json.Int 9007199254740993L);
+  ok "-0" (Json.Int 0L);
+  ok "1e30" (Json.Float 1e30);
+  ok "2.5" (Json.Float 2.5);
+  ok "99999999999999999999" (Json.Float 1e20);
+  bad "01";
+  bad "1.";
+  bad "-";
+  ok {| {"k": [true, false, null], "n": {}} |}
+    (Json.Obj [ ("k", Json.Arr [ Json.Bool true; Json.Bool false; Json.Null ]); ("n", Json.Obj []) ]);
+  bad "{\"a\":1,}";
+  bad "[1] 2";
+  bad "\"raw \n newline\"";
+  Alcotest.(check (option (float 0.))) "number of Int" (Some 3.) (Json.number (Json.Int 3L));
+  Alcotest.(check bool) "member" true
+    (Json.member "b" (Json.Obj [ ("a", Json.Null); ("b", Json.Bool true) ]) = Some (Json.Bool true))
+
 let () =
   Alcotest.run "gpp_util"
     [
@@ -285,5 +362,12 @@ let () =
           Alcotest.test_case "plot" `Quick test_plot_rendering;
           Alcotest.test_case "plot empty" `Quick test_plot_empty;
           Alcotest.test_case "plot log guards" `Quick test_plot_drops_nonpositive_on_log;
+        ] );
+      ( "json",
+        [
+          test_codec_strings_roundtrip;
+          test_codec_int64_roundtrip;
+          Alcotest.test_case "escape table" `Quick test_codec_escape_rule;
+          Alcotest.test_case "parse cases" `Quick test_codec_parse_cases;
         ] );
     ]
