@@ -447,6 +447,23 @@ let apply_overrides (t : t) (o : overrides) =
   let t = match o.o_flush_every with Some n -> { t with flush_every = n } | None -> t in
   Ok (if o.o_verbose then { t with verbose = true } else t)
 
+(* The simulator's documented ranges: each efficiency is a fraction of
+   peak DRAM bandwidth, and a jitter half-width above 1 would draw
+   negative DRAM latencies.  NaN fails every comparison, so it is out
+   of range too. *)
+let sim_out_of_range (c : Gpp_gpusim.Gpu_sim.config) =
+  let fraction v = v > 0.0 && v <= 1.0 and non_negative v = Float.is_finite v && v >= 0.0 in
+  List.find_opt
+    (fun (_, v, ok, _) -> not (ok v))
+    [
+      ("streaming-efficiency", c.streaming_efficiency, fraction, "> 0 and <= 1");
+      ("scattered-efficiency", c.scattered_efficiency, fraction, "> 0 and <= 1");
+      ("latency-jitter", c.latency_jitter, (fun v -> v >= 0.0 && v <= 1.0), "0 .. 1");
+      ("block-dispatch-cycles", c.block_dispatch_cycles, non_negative, "finite and >= 0");
+      ("drain-cycles", c.drain_cycles, non_negative, "finite and >= 0");
+      ("noise-sigma", c.noise_sigma, non_negative, "finite and >= 0");
+    ]
+
 (* Cross-layer validation, applied to the fully resolved value so a bad
    setting is rejected no matter which layer (file, env, flag) supplied
    it.  Pool.run, the simulators and the iteration rescaling would raise
@@ -461,7 +478,11 @@ let validate (t : t) =
       out_of_range "jobs = %d out of range (expected 1 .. %d)" t.jobs Pool.max_jobs
   | _ when t.flush_every < 1 ->
       out_of_range "flush-every = %d out of range (expected >= 1)" t.flush_every
-  | _ -> Ok t
+  | _ -> (
+      match Option.bind t.sim sim_out_of_range with
+      | Some (key, v, _, range) ->
+          out_of_range "sim: %s = %g out of range (expected %s)" key v range
+      | None -> Ok t)
 
 let resolve ?getenv ?file ?(overrides = no_overrides) () =
   let ( let* ) = Result.bind in

@@ -145,7 +145,9 @@ val resolve :
 
 val validate : t -> (t, Error.t) result
 (** Cross-layer range checks: [runs] and [iterations] at least 1 when
-    set, [jobs] within {!Pool.max_jobs}, [flush_every >= 1].  An
+    set, [jobs] within {!Pool.max_jobs}, [flush_every >= 1], and the
+    [sim] group's efficiencies in (0, 1], latency jitter in [0, 1] and
+    dispatch cycles, drain cycles and noise sigma finite and >= 0.  An
     out-of-range value is an {!Error.Config} (exit 2) whichever layer
     supplied it; [grophecy serve] applies the same checks to request
     parameters (a 400). *)

@@ -1,5 +1,3 @@
-module Engine = Gpp_sim.Engine
-module Fifo_server = Gpp_sim.Fifo_server
 module Rng = Gpp_util.Rng
 module Characteristics = Gpp_model.Characteristics
 module Occupancy = Gpp_model.Occupancy
@@ -63,179 +61,265 @@ type result = {
    sync-heavy kernels do not diverge for bookkeeping reasons alone. *)
 let sync_cost_cycles = 40.0
 
-type sm = { issue : Fifo_server.t; mutable resident_blocks : int }
+(* The pending events: a binary min-heap in parallel arrays, ordered by
+   time and then by scheduling order ([seq]).  That order fixes the RNG
+   draw order, so every result depends on it.  Each resident warp has
+   exactly one pending event, so the arrays never grow. *)
+type queue = {
+  times : float array;
+  seqs : int array;
+  codes : int array;
+  mutable size : int;
+  mutable scheduled : int;  (** Events pushed so far; the next [seq]. *)
+}
+
+let[@inline] earlier (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
+
+let[@inline] set q i time seq code =
+  q.times.(i) <- time;
+  q.seqs.(i) <- seq;
+  q.codes.(i) <- code
+
+let[@inline] move q ~src ~dst = set q dst q.times.(src) q.seqs.(src) q.codes.(src)
+
+let[@inline] push q time code =
+  let seq = q.scheduled in
+  q.scheduled <- seq + 1;
+  let i = ref q.size in
+  q.size <- q.size + 1;
+  while !i > 0 && earlier time seq q.times.((!i - 1) / 2) q.seqs.((!i - 1) / 2) do
+    move q ~src:((!i - 1) / 2) ~dst:!i;
+    i := (!i - 1) / 2
+  done;
+  set q !i time seq code
+
+(* Removes the earliest event and returns its code; read its time from
+   [q.times.(0)] first. *)
+let pop q =
+  let code = q.codes.(0) in
+  let n = q.size - 1 in
+  q.size <- n;
+  let time = q.times.(n) and seq = q.seqs.(n) and last = q.codes.(n) in
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c =
+      if l + 1 < n && earlier q.times.(l + 1) q.seqs.(l + 1) q.times.(l) q.seqs.(l) then l + 1
+      else l
+    in
+    if c < n && earlier q.times.(c) q.seqs.(c) time seq then begin
+      move q ~src:c ~dst:!i;
+      i := c
+    end
+    else sifting := false
+  done;
+  set q !i time seq last;
+  code
+
+(* Event kinds, the low two bits of an event code.  The bits above hold
+   [period * slots + slot]: the slot of the resident block the warp
+   belongs to and, for the two warp phases, the warp's period. *)
+let issue_phase = 0
+
+let dram_request = 1
+
+let warp_done = 2
+
+let[@inline] event_code ~slots ~slot ~period kind = (((period * slots) + slot) lsl 2) lor kind
+
+(* Every event time is the current time plus one of these durations, or
+   the later of two such times, so checking them once keeps every event
+   time finite and never in the past. *)
+let check_durations durations =
+  match List.find_opt (fun (_, d) -> not (Float.is_finite d && d >= 0.0)) durations with
+  | None -> Ok ()
+  | Some (what, d) -> Error (Printf.sprintf "%s = %g: expected a finite, non-negative value" what d)
 
 let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
   Obs.span "gpusim.run" @@ fun () ->
   let gpu : Gpp_arch.Gpu.t = gpu in
-  match Occupancy.of_characteristics ~gpu c with
-  | Error e -> Error e
-  | Ok occ ->
-      let cycle = Gpp_arch.Gpu.cycle_time gpu in
-      let warps_per_block = Characteristics.warps_per_block ~gpu c in
-      (* Per-warp workload parameters. *)
-      let insts =
-        c.flops_per_thread +. c.int_ops_per_thread +. c.load_insts_per_thread
-        +. c.store_insts_per_thread
-      in
-      let comp_cycles =
-        (insts *. gpu.issue_cycles *. c.divergence_factor)
-        +. (c.syncs_per_thread *. sync_cost_cycles)
-      in
-      let mem_insts = Characteristics.mem_insts_per_thread c in
-      let periods = if mem_insts > 0.0 then max 1 (int_of_float (Float.ceil mem_insts)) else 0 in
-      let comp_chunk = comp_cycles /. float_of_int (periods + 1) *. cycle in
-      let transactions = c.load_transactions_per_warp +. c.store_transactions_per_warp in
-      let dram_efficiency =
-        (config.streaming_efficiency *. (1.0 -. c.scattered_fraction))
-        +. (config.scattered_efficiency *. c.scattered_fraction)
-      in
-      let bytes_per_period =
-        if periods = 0 then 0.0
-        else transactions /. float_of_int periods *. Characteristics.transaction_bytes ~gpu c
-      in
-      let dram_service = bytes_per_period /. (gpu.dram_bandwidth *. dram_efficiency) in
-      let base_latency = float_of_int gpu.dram_latency_cycles *. cycle in
-      let dispatch_cost = config.block_dispatch_cycles *. cycle in
-      (* Wave-sampling budget: whole waves only. *)
-      let blocks_per_wave = gpu.sm_count * occ.blocks_per_sm in
-      let total_blocks = c.grid_blocks in
-      let budget =
-        if total_blocks <= config.max_simulated_blocks then total_blocks
-        else
-          let waves = max 2 (config.max_simulated_blocks / blocks_per_wave) in
-          min total_blocks (waves * blocks_per_wave)
-      in
-      Obs.add c_waves ((budget + blocks_per_wave - 1) / blocks_per_wave);
-      (* Per-period integer work volume, precomputed so the hot event
-         handlers only pay counter increments. *)
-      let txn_per_period =
-        if periods = 0 then 0 else int_of_float (Float.ceil (transactions /. float_of_int periods))
-      in
-      let divergent = c.divergence_factor > 1.0 in
-      let engine = Engine.create () in
-      let dram = Fifo_server.create ~name:"dram" () in
-      let sms =
-        Array.init gpu.sm_count (fun i ->
-            { issue = Fifo_server.create ~name:(Printf.sprintf "sm%d" i) (); resident_blocks = 0 })
-      in
-      let next_block = ref 0 in
-      let completed = ref 0 in
-      let completion_half = ref 0.0 in
-      let completion_last = ref 0.0 in
-      let half_mark = max 1 (budget / 2) in
-      let rec start_block sm_idx engine =
-        let sm = sms.(sm_idx) in
-        Obs.incr c_blocks;
-        sm.resident_blocks <- sm.resident_blocks + 1;
-        let block_id = !next_block in
-        let block_start = Engine.now engine in
-        incr next_block;
-        let remaining_warps = ref warps_per_block in
-        let warp_done engine =
-          decr remaining_warps;
-          if !remaining_warps = 0 then begin
-            (match trace with
-            | Some tr ->
-                Trace.record tr
-                  ~name:(Printf.sprintf "block %d" block_id)
-                  ~category:"block" ~track:sm_idx ~start:block_start
-                  ~duration:(Engine.now engine -. block_start)
-            | None -> ());
-            block_done sm_idx engine
-          end
-        in
-        for _ = 1 to warps_per_block do
-          Engine.schedule engine ~delay:dispatch_cost (warp_phase sm_idx 0 warp_done)
-        done
-      and warp_phase sm_idx period warp_done engine =
-        let sm = sms.(sm_idx) in
-        Obs.incr c_warp_phases;
-        if divergent then Obs.incr c_divergent;
-        let now = Engine.now engine in
-        let issue_start, issue_finish =
-          Fifo_server.reserve sm.issue ~arrival:now ~service:comp_chunk
-        in
+  let ( let* ) = Result.bind in
+  let* occ = Occupancy.of_characteristics ~gpu c in
+  let cycle = Gpp_arch.Gpu.cycle_time gpu in
+  let warps_per_block = Characteristics.warps_per_block ~gpu c in
+  (* Per-warp workload parameters. *)
+  let insts =
+    c.flops_per_thread +. c.int_ops_per_thread +. c.load_insts_per_thread
+    +. c.store_insts_per_thread
+  in
+  let comp_cycles =
+    (insts *. gpu.issue_cycles *. c.divergence_factor) +. (c.syncs_per_thread *. sync_cost_cycles)
+  in
+  let mem_insts = Characteristics.mem_insts_per_thread c in
+  let periods = if mem_insts > 0.0 then max 1 (int_of_float (Float.ceil mem_insts)) else 0 in
+  let comp_chunk = comp_cycles /. float_of_int (periods + 1) *. cycle in
+  let transactions = c.load_transactions_per_warp +. c.store_transactions_per_warp in
+  let dram_efficiency =
+    (config.streaming_efficiency *. (1.0 -. c.scattered_fraction))
+    +. (config.scattered_efficiency *. c.scattered_fraction)
+  in
+  let bytes_per_period =
+    if periods = 0 then 0.0
+    else transactions /. float_of_int periods *. Characteristics.transaction_bytes ~gpu c
+  in
+  let dram_service = bytes_per_period /. (gpu.dram_bandwidth *. dram_efficiency) in
+  let base_latency = float_of_int gpu.dram_latency_cycles *. cycle in
+  let jitter = config.latency_jitter in
+  let dispatch_cost = config.block_dispatch_cycles *. cycle in
+  let* () =
+    check_durations
+      [
+        ("issue chunk", comp_chunk);
+        ("DRAM service time", dram_service);
+        ("block dispatch cost", dispatch_cost);
+        ("latency jitter", jitter);
+        ("shortest DRAM latency", base_latency *. (1.0 -. jitter));
+        ("longest DRAM latency", base_latency *. (1.0 +. jitter));
+      ]
+  in
+  (* Wave-sampling budget: whole waves only. *)
+  let blocks_per_wave = gpu.sm_count * occ.blocks_per_sm in
+  let total_blocks = c.grid_blocks in
+  let budget =
+    if total_blocks <= config.max_simulated_blocks then total_blocks
+    else
+      let waves = max 2 (config.max_simulated_blocks / blocks_per_wave) in
+      min total_blocks (waves * blocks_per_wave)
+  in
+  (* The first wave is dealt round-robin, block [i] to SM [i mod
+     sm_count], so no SM exceeds its occupancy limit.  Block [i] keeps
+     slot [i]; each later block takes the slot, and so the SM, of the
+     block whose completion started it. *)
+  let slots = min budget blocks_per_wave in
+  let capacity = slots * warps_per_block in
+  let q =
+    {
+      times = Array.make capacity 0.0;
+      seqs = Array.make capacity 0;
+      codes = Array.make capacity 0;
+      size = 0;
+      scheduled = 0;
+    }
+  in
+  let block_ids = Array.make slots 0 in
+  let block_starts = Array.make slots 0.0 in
+  let warps_left = Array.make slots 0 in
+  (* The FIFO servers: each SM's issue port and the DRAM channel, as the
+     time they next fall idle and their accumulated service time.
+     Requests arrive at their event's time, so never out of order. *)
+  let issue_free = Array.make gpu.sm_count 0.0 in
+  let issue_busy = Array.make gpu.sm_count 0.0 in
+  let dram_free = ref 0.0 and dram_busy = ref 0.0 in
+  let next_block = ref 0 in
+  let start_block slot now =
+    block_ids.(slot) <- !next_block;
+    block_starts.(slot) <- now;
+    warps_left.(slot) <- warps_per_block;
+    incr next_block;
+    for _ = 1 to warps_per_block do
+      push q (now +. dispatch_cost) (event_code ~slots ~slot ~period:0 issue_phase)
+    done
+  in
+  for slot = 0 to slots - 1 do
+    start_block slot 0.0
+  done;
+  let completed = ref 0 in
+  let completion_half = ref 0.0 in
+  let completion_last = ref 0.0 in
+  let half_mark = max 1 (budget / 2) in
+  let phases = ref 0 and dram_requests = ref 0 in
+  while q.size > 0 do
+    let now = q.times.(0) in
+    let code = pop q in
+    let slot = (code lsr 2) mod slots and period = (code lsr 2) / slots in
+    let sm = slot mod gpu.sm_count in
+    match code land 3 with
+    | 0 (* issue_phase *) ->
+        incr phases;
+        let start = Float.max now issue_free.(sm) in
+        let finish = start +. comp_chunk in
+        issue_free.(sm) <- finish;
+        issue_busy.(sm) <- issue_busy.(sm) +. comp_chunk;
         (match trace with
         | Some tr ->
-            Trace.record tr ~name:"issue" ~category:"compute" ~track:sm_idx ~start:issue_start
-              ~duration:(issue_finish -. issue_start)
+            Trace.record tr ~name:"issue" ~category:"compute" ~track:sm ~start
+              ~duration:(finish -. start)
         | None -> ());
-        if period >= periods then Engine.schedule_at engine ~time:issue_finish warp_done
-        else
-          Engine.schedule_at engine ~time:issue_finish (fun engine ->
-              let now = Engine.now engine in
-              Obs.incr c_dram_requests;
-              Obs.add c_dram_transactions txn_per_period;
-              let dram_start, dram_finish =
-                Fifo_server.reserve dram ~arrival:now ~service:dram_service
-              in
-              (match trace with
-              | Some tr ->
-                  Trace.record tr ~name:"mem" ~category:"dram" ~track:Trace.dram_track
-                    ~start:dram_start ~duration:(dram_finish -. dram_start)
-              | None -> ());
-              Obs.incr c_rng;
-              let latency =
-                base_latency
-                *. (1.0 +. Rng.uniform rng ~lo:(-.config.latency_jitter) ~hi:config.latency_jitter)
-              in
-              let ready = Float.max (now +. latency) dram_finish in
-              Engine.schedule_at engine ~time:ready (warp_phase sm_idx (period + 1) warp_done))
-      and block_done sm_idx engine =
-        let sm = sms.(sm_idx) in
-        sm.resident_blocks <- sm.resident_blocks - 1;
-        incr completed;
-        let now = Engine.now engine in
-        if !completed = half_mark then completion_half := now;
-        if !completed = budget then completion_last := now;
-        if !next_block < budget then start_block sm_idx engine
-      in
-      (* Initial dispatch: fill every SM to its occupancy limit. *)
-      let sm_idx = ref 0 in
-      while !next_block < min budget (blocks_per_wave) do
-        let idx = !sm_idx mod gpu.sm_count in
-        if sms.(idx).resident_blocks < occ.blocks_per_sm then start_block idx engine;
-        incr sm_idx
-      done;
-      Engine.run engine;
-      Obs.add c_events (Engine.processed engine);
-      let span = Float.max !completion_last (Fifo_server.next_free dram) in
-      let busy_sim = span +. (config.drain_cycles *. cycle) in
-      let extrapolated = budget < total_blocks in
-      let busy_time =
-        if not extrapolated then busy_sim
-        else begin
-          (* Steady-state rate from the back half of the simulated
-             blocks extrapolates the remaining waves. *)
-          let measured = budget - half_mark in
-          let rate = (!completion_last -. !completion_half) /. float_of_int (max 1 measured) in
-          busy_sim +. (rate *. float_of_int (total_blocks - budget))
+        push q finish
+          (event_code ~slots ~slot ~period (if period >= periods then warp_done else dram_request))
+    | 1 (* dram_request *) ->
+        incr dram_requests;
+        let start = Float.max now !dram_free in
+        let finish = start +. dram_service in
+        dram_free := finish;
+        dram_busy := !dram_busy +. dram_service;
+        (match trace with
+        | Some tr ->
+            Trace.record tr ~name:"mem" ~category:"dram" ~track:Trace.dram_track ~start
+              ~duration:(finish -. start)
+        | None -> ());
+        let latency = base_latency *. (1.0 +. Rng.uniform rng ~lo:(-.jitter) ~hi:jitter) in
+        push q
+          (Float.max (now +. latency) finish)
+          (event_code ~slots ~slot ~period:(period + 1) issue_phase)
+    | _ (* warp_done *) ->
+        warps_left.(slot) <- warps_left.(slot) - 1;
+        if warps_left.(slot) = 0 then begin
+          (match trace with
+          | Some tr ->
+              Trace.record tr
+                ~name:(Printf.sprintf "block %d" block_ids.(slot))
+                ~category:"block" ~track:sm ~start:block_starts.(slot)
+                ~duration:(now -. block_starts.(slot))
+          | None -> ());
+          incr completed;
+          if !completed = half_mark then completion_half := now;
+          if !completed = budget then completion_last := now;
+          if !next_block < budget then start_block slot now
         end
-      in
-      if extrapolated then Obs.add c_extrapolated (total_blocks - budget);
-      Obs.incr c_rng;
-      let time =
-        (gpu.launch_overhead +. busy_time) *. Rng.lognormal_noise rng ~sigma:config.noise_sigma
-      in
-      let issue_utilization =
-        if span <= 0.0 then 0.0
-        else
-          Array.fold_left (fun acc sm -> acc +. Fifo_server.utilization sm.issue ~horizon:span) 0.0 sms
-          /. float_of_int gpu.sm_count
-      in
-      Ok
-        {
-          kernel_name = c.kernel_name;
-          time;
-          busy_time;
-          dram_utilization = (if span <= 0.0 then 0.0 else Fifo_server.utilization dram ~horizon:span);
-          issue_utilization;
-          simulated_blocks = budget;
-          total_blocks;
-          extrapolated;
-          events = Engine.processed engine;
-        }
+  done;
+  let span = Float.max !completion_last !dram_free in
+  let busy_sim = span +. (config.drain_cycles *. cycle) in
+  let extrapolated = budget < total_blocks in
+  let busy_time =
+    if not extrapolated then busy_sim
+    else begin
+      (* Steady-state rate from the back half of the simulated
+         blocks extrapolates the remaining waves. *)
+      let measured = budget - half_mark in
+      let rate = (!completion_last -. !completion_half) /. float_of_int (max 1 measured) in
+      busy_sim +. (rate *. float_of_int (total_blocks - budget))
+    end
+  in
+  let time =
+    (gpu.launch_overhead +. busy_time) *. Rng.lognormal_noise rng ~sigma:config.noise_sigma
+  in
+  Obs.add c_blocks !next_block;
+  Obs.add c_waves ((budget + blocks_per_wave - 1) / blocks_per_wave);
+  Obs.add c_warp_phases !phases;
+  if c.divergence_factor > 1.0 then Obs.add c_divergent !phases;
+  Obs.add c_dram_requests !dram_requests;
+  Obs.add c_dram_transactions
+    (if periods = 0 then 0
+     else !dram_requests * int_of_float (Float.ceil (transactions /. float_of_int periods)));
+  Obs.add c_events q.scheduled;
+  if extrapolated then Obs.add c_extrapolated (total_blocks - budget);
+  Obs.add c_rng (!dram_requests + 1);
+  let utilization busy = if span <= 0.0 then 0.0 else busy /. span in
+  Ok
+    {
+      kernel_name = c.kernel_name;
+      time;
+      busy_time;
+      dram_utilization = utilization !dram_busy;
+      issue_utilization =
+        Array.fold_left (fun acc busy -> acc +. utilization busy) 0.0 issue_busy
+        /. float_of_int gpu.sm_count;
+      simulated_blocks = budget;
+      total_blocks;
+      extrapolated;
+      events = q.scheduled;
+    }
 
 (* [run_mean] draws every random number from an rng seeded by its own
    [seed] argument, so — unlike a single [run] fed a shared stream — it

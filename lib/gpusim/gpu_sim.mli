@@ -22,7 +22,13 @@
 
     Large grids are wave-sampled: a configurable number of whole waves
     is simulated in full detail and the steady-state per-block rate
-    extrapolates the rest. *)
+    extrapolates the rest.
+
+    Events run in time order, and events at the same time run in the
+    order they were scheduled.  That order fixes the order of the RNG
+    draws, so the [rng] state a run starts from determines every field
+    of its {!result}, the obs counters and the recorded trace, bit for
+    bit. *)
 
 type config = {
   streaming_efficiency : float;
@@ -65,8 +71,12 @@ val run :
   Gpp_model.Characteristics.t ->
   (result, string) Result.t
 (** Simulate one launch.  [Error] when the characteristics cannot be
-    scheduled on the device.  Pass a {!Trace.t} to record block, issue,
-    and DRAM activity for inspection or Chrome-trace export. *)
+    scheduled on the device, or when a duration the run schedules by
+    (the issue chunk, the DRAM service time, the block dispatch cost or
+    either end of the jittered DRAM latency range) is negative or not
+    finite; both are checked before any event runs.  Pass a {!Trace.t}
+    to record block, issue, and DRAM activity for inspection or
+    Chrome-trace export. *)
 
 val run_mean :
   ?cache:bool ->

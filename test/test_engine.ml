@@ -206,6 +206,29 @@ let test_config_file_below_one () =
       expect_range_error text ~needle (Config.resolve ~getenv:(getenv_of []) ~file:path ()))
     [ ("((runs 0))", "runs = 0"); ("((iterations -1))", "iterations = -1") ]
 
+(* The simulator keys outside their documented ranges would crash the
+   simulator (or, for drain-cycles, print nonsense); through the file
+   layer each is a config error naming the key, while the range's own
+   bounds still load. *)
+let test_config_sim_range key ~accepted ~rejected () =
+  let resolve v =
+    let path = write_temp ~suffix:".sexp" (Printf.sprintf "((sim ((%s %s))))" key v) in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Config.resolve ~getenv:(getenv_of []) ~file:path ()
+  in
+  List.iter (fun v -> ignore (Helpers.check_core (key ^ " " ^ v) (resolve v))) accepted;
+  List.iter (fun v -> expect_range_error (key ^ " " ^ v) ~needle:key (resolve v)) rejected
+
+let sim_range_cases =
+  [
+    ("streaming-efficiency", [ "1"; "0.01" ], [ "0"; "-0.5"; "nan"; "1.5" ]);
+    ("scattered-efficiency", [ "1"; "0.01" ], [ "0"; "inf"; "nan" ]);
+    ("latency-jitter", [ "0"; "1" ], [ "inf"; "-0.1"; "1.01"; "nan" ]);
+    ("block-dispatch-cycles", [ "0"; "1e6" ], [ "-10"; "inf"; "nan" ]);
+    ("drain-cycles", [ "0"; "1e6" ], [ "-1e9"; "inf"; "nan" ]);
+    ("noise-sigma", [ "0"; "2" ], [ "-0.01"; "nan"; "inf" ]);
+  ]
+
 let test_config_transfer_plan_layers () =
   let module Analyzer = Gpp_dataflow.Analyzer in
   let plan_of (c : Config.t) =
@@ -428,7 +451,12 @@ let () =
           Alcotest.test_case "flag below one" `Quick test_config_flag_below_one;
           Alcotest.test_case "env below one" `Quick test_config_env_below_one;
           Alcotest.test_case "file below one" `Quick test_config_file_below_one;
-        ] );
+        ]
+        @ List.map
+            (fun (key, accepted, rejected) ->
+              Alcotest.test_case ("sim " ^ key) `Quick
+                (test_config_sim_range key ~accepted ~rejected))
+            sim_range_cases );
       ( "workload",
         [ Alcotest.test_case "resolve" `Quick test_workload_resolve ] );
       ( "pipeline",

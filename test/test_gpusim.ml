@@ -191,6 +191,212 @@ let test_trace_capacity () =
   Alcotest.(check int) "dropped three" 3 (Trace.dropped tr);
   Helpers.check_contains "summary mentions drops" ~needle:"3 dropped" (Trace.summary tr)
 
+(* Bit-for-bit pin: every result field (floats as their IEEE bits), the
+   simulator's counter totals and a digest of the recorded trace, for
+   five kernel shapes on an old and a new GPU.  The goldens only see
+   [run_mean] times on the paper workloads; these lines change whenever
+   the order events run in (time, then scheduling order), the order of
+   the RNG draws or the simulator's arithmetic does. *)
+
+module Obs = Gpp_obs.Obs
+
+let pinned_counters =
+  [
+    "sim.blocks";
+    "sim.waves";
+    "sim.warp_phases";
+    "sim.dram.requests";
+    "sim.dram.transactions";
+    "sim.divergence.serializations";
+    "sim.engine.events";
+    "sim.blocks.extrapolated";
+    "rng.draws";
+  ]
+
+let pin_kernels =
+  [
+    ("streaming", characteristics ~grid_blocks:512 ());
+    ("scattered", characteristics ~flops:4.0 ~loads:4.0 ~load_trans:128.0 ~scattered:1.0 ());
+    ( "zero-dram",
+      characteristics ~flops:50.0 ~loads:0.0 ~stores:0.0 ~load_trans:0.0 ~store_trans:0.0 () );
+    ( "wave-sampled",
+      C.create ~kernel_name:"simk" ~grid_blocks:40_000 ~threads_per_block:128
+        ~divergence_factor:1.5 ~syncs_per_thread:2.0 ~int_ops_per_thread:6.0
+        ~flops_per_thread:12.0 ~load_insts_per_thread:3.0 ~store_insts_per_thread:1.0
+        ~load_transactions_per_warp:6.0 ~store_transactions_per_warp:2.0 ~scattered_fraction:0.25
+        () );
+    ("ragged", characteristics ~grid_blocks:37 ~threads_per_block:64 ());
+  ]
+
+let pin_gpus = [ Gpp_arch.Gpu.quadro_fx_5600; Gpp_arch.Gpu.a100 ]
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let trace_digest tr =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (e : Trace.event) ->
+      Printf.bprintf buf "%s %s %d %s %s\n" e.name e.category e.track (bits e.start)
+        (bits e.duration))
+    (Trace.events tr);
+  Printf.sprintf "%d/%d/%s" (Trace.length tr) (Trace.dropped tr)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* Every result field, the floats as their IEEE bits. *)
+let result_fields (r : Sim.result) =
+  ( Printf.sprintf "time=%s busy=%s dram=%s issue=%s" (bits r.time) (bits r.busy_time)
+      (bits r.dram_utilization) (bits r.issue_utilization),
+    Printf.sprintf "%s blocks=%d/%d extrapolated=%b events=%d" r.kernel_name r.simulated_blocks
+      r.total_blocks r.extrapolated r.events )
+
+(* A run as three strings: the float fields, the integer fields with
+   the [pinned_counters] totals in order, and the trace. *)
+let pin_fields ~gpu c =
+  Obs.reset ();
+  Obs.set_enabled true;
+  let tr = Trace.create () in
+  let r =
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+    Helpers.check_ok "pinned run" (Sim.run ~trace:tr ~rng:(Rng.create 42L) ~gpu c)
+  in
+  let counters = List.map (fun n -> string_of_int (Obs.value (Obs.counter n))) pinned_counters in
+  Obs.reset ();
+  let floats, ints = result_fields r in
+  [ floats; ints ^ " counters=" ^ String.concat "," counters; "trace=" ^ trace_digest tr ]
+
+(* [pin_kernels] on each of [pin_gpus], in order. *)
+let pin_expected =
+  [
+    (* quadro_fx_5600 *)
+    [
+      "time=3f1189a3a62a92e8 busy=3f0400981c414c55 dram=3fef99c30e2a9c7f issue=3fdd9c6813e95880";
+      "simk blocks=512/512 extrapolated=false events=32768 counters=512,16,16384,12288,24576,0,32768,0,12289";
+      "trace=29184/0/ad232dd3ce8e03f0eb87679e00a901ac";
+    ];
+    [
+      "time=3f320ddfb2f3b33d busy=3f30333a76c30436 dram=3feff853c2efef61 issue=3f8c5492b1787361";
+      "simk blocks=256/256 extrapolated=false events=24576 counters=256,8,12288,10240,266240,0,24576,0,10241";
+      "trace=22784/0/a126ffb718938c77201701249f7d162b";
+    ];
+    [
+      "time=3f0a2668b4f8a2e5 busy=3ef49549e06d6bba dram=0 issue=3fefa11caa01fa11";
+      "simk blocks=256/256 extrapolated=false events=4096 counters=256,8,2048,0,0,0,4096,0,1";
+      "trace=2304/0/f7ce82f40624b8ee1d64853706a5af21";
+    ];
+    [
+      "time=3f5cf27b079fd3bf busy=3f5cc7252bf0fa42 dram=3fefc552c803fbc5 issue=3fec106f860399a8";
+      "simk blocks=2048/40000 extrapolated=true events=81920 counters=2048,32,40960,32768,65536,40960,81920,37952,32769";
+      "trace=75776/0/e8c5d8a4908b9975bcb4dcd09f4196b0";
+    ];
+    [
+      "time=3f00c1aa4886ab75 busy=3ec125f0b96d355a dram=3fdae9abcb311f5d issue=3fc937e080c4c8f9";
+      "simk blocks=37/37 extrapolated=false events=592 counters=37,1,296,222,444,0,592,0,223";
+      "trace=555/0/9a525ca0533ce77e3f93e29f751bf5d5";
+    ];
+    (* a100 *)
+    [
+      "time=3ede2867d3061555 busy=3ed2237eec41de3e dram=3fee2fd6b6c23174 issue=3fc44f2e233e1acf";
+      "simk blocks=512/512 extrapolated=false events=32768 counters=512,1,16384,12288,24576,0,32768,0,12289";
+      "trace=29184/0/a27e5fb209779b59e52d4f7bb176670c";
+    ];
+    [
+      "time=3efd2b789927c368 busy=3efa347ce9bce29f dram=3fefb856991ba093 issue=3f742e94f36e7bcd";
+      "simk blocks=256/256 extrapolated=false events=24576 counters=256,1,12288,10240,266240,0,24576,0,10241";
+      "trace=22784/0/1980aa780a1a2bad675c978f28cb03bd";
+    ];
+    [
+      "time=3ed2ec76f4cec9af busy=3eb8fcc2826b8d60 dram=0 issue=3fe43a2730abee42";
+      "simk blocks=256/256 extrapolated=false events=4096 counters=256,1,2048,0,0,0,4096,0,1";
+      "trace=2304/0/6fc38a051bd847af47918f76ed180fb7";
+    ];
+    [
+      "time=3f2746efa71450ab busy=3f26bec3f3bd6e68 dram=3fef77aff61777ca issue=3fe5468791121747";
+      "simk blocks=3456/40000 extrapolated=true events=138240 counters=3456,2,69120,55296,110592,69120,138240,36544,55297";
+      "trace=127872/0/8ec7f8a12f319a750f5d166b8d3fa37c";
+    ];
+    [
+      "time=3ed34cc8587ec988 busy=3ebb1200de6c3a3d dram=3faca39980875f12 issue=3f8344989effd608";
+      "simk blocks=37/37 extrapolated=false events=592 counters=37,1,296,222,444,0,592,0,223";
+      "trace=555/0/3eea371e3236367429550f576e0dba08";
+    ];
+  ]
+
+let test_bit_for_bit_pin () =
+  let runs =
+    List.concat_map
+      (fun (gpu : Gpp_arch.Gpu.t) ->
+        List.map (fun (label, c) -> (label ^ " on " ^ gpu.name, pin_fields ~gpu c)) pin_kernels)
+      pin_gpus
+  in
+  Alcotest.(check int) "pinned runs" (List.length pin_expected) (List.length runs);
+  List.iter2
+    (fun (what, fields) expected -> Alcotest.(check (list string)) what expected fields)
+    runs pin_expected
+
+(* Durations the event loop cannot schedule (negative, infinite or NaN)
+   are an [Error] before any event runs, never an exception. *)
+let test_bad_durations_are_errors () =
+  let expect_error what ?(config = Sim.default_config) c =
+    match Sim.run ~config ~rng:(Rng.create 1L) ~gpu c with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let c = characteristics () in
+  List.iter
+    (fun (what, config) -> expect_error what ~config c)
+    Sim.
+      [
+        ("zero streaming efficiency", { default_config with streaming_efficiency = 0.0 });
+        ("negative streaming efficiency", { default_config with streaming_efficiency = -0.5 });
+        ("NaN streaming efficiency", { default_config with streaming_efficiency = Float.nan });
+        ("negative dispatch", { default_config with block_dispatch_cycles = -10.0 });
+        ("infinite dispatch", { default_config with block_dispatch_cycles = Float.infinity });
+        ("infinite jitter", { default_config with latency_jitter = Float.infinity });
+        ("negative jitter", { default_config with latency_jitter = -0.1 });
+        ("negative latencies", { default_config with latency_jitter = 1.5 });
+      ];
+  expect_error "negative issue chunk" (characteristics ~flops:(-100.0) ());
+  expect_error "NaN issue chunk" (characteristics ~flops:Float.nan ())
+
+(* Generated kernels on both GPUs: each FIFO server is busy for no more
+   than the simulated span (work conservation), and the same seed gives
+   bitwise-equal results. *)
+let test_generated_kernels =
+  let gen =
+    QCheck2.Gen.(
+      let* gpu = oneofl pin_gpus in
+      let* seed = map Int64.of_int nat in
+      let* grid_blocks = int_range 1 700 in
+      let* threads_per_block = oneofl [ 32; 64; 128; 256 ] in
+      let* flops = float_range 0.0 64.0 in
+      let* loads = float_range 0.0 6.0 in
+      let* stores = float_range 0.0 3.0 in
+      let* load_trans = float_range 0.0 48.0 in
+      let* store_trans = float_range 0.0 16.0 in
+      let* scattered = float_range 0.0 1.0 in
+      let* divergence_factor = float_range 1.0 2.0 in
+      let* syncs_per_thread = float_range 0.0 3.0 in
+      return
+        ( gpu,
+          seed,
+          C.create ~kernel_name:"gen" ~grid_blocks ~threads_per_block ~divergence_factor
+            ~syncs_per_thread ~flops_per_thread:flops ~load_insts_per_thread:loads
+            ~store_insts_per_thread:stores ~load_transactions_per_warp:load_trans
+            ~store_transactions_per_warp:store_trans ~scattered_fraction:scattered () ))
+  in
+  let config = { Sim.default_config with Sim.max_simulated_blocks = 256 } in
+  Helpers.qtest ~count:60 "generated kernels: utilization in [0, 1], seed-deterministic" gen
+    (fun (gpu, seed, c) ->
+      let run () = Sim.run ~config ~rng:(Rng.create seed) ~gpu c in
+      let in_unit v = v >= 0.0 && v <= 1.0 in
+      match (run (), run ()) with
+      | Ok a, Ok b ->
+          in_unit a.Sim.dram_utilization
+          && in_unit a.Sim.issue_utilization
+          && result_fields a = result_fields b
+      | _ -> false)
+
 let () =
   Alcotest.run "gpp_gpusim"
     [
@@ -208,6 +414,9 @@ let () =
           Alcotest.test_case "run_mean" `Quick test_run_mean;
           Alcotest.test_case "pure compute" `Quick test_pure_compute_kernel;
           Alcotest.test_case "model agreement" `Quick test_agrees_with_model_on_regular_kernels;
+          Alcotest.test_case "bit-for-bit pin" `Quick test_bit_for_bit_pin;
+          Alcotest.test_case "bad durations are errors" `Quick test_bad_durations_are_errors;
+          test_generated_kernels;
         ] );
       ( "trace",
         [

@@ -295,10 +295,15 @@ let test_memo_flush_concurrent_with_lookups () =
           Atomic.incr flushes
         done)
   in
-  (* Keep the lookup traffic going until several flushes have landed
-     underneath it, so the two genuinely overlap. *)
+  (* Keep the lookup traffic going until every key has been inserted and
+     several flushes have landed underneath it, so the two genuinely
+     overlap.  The flusher can finish its first flushes before this
+     domain makes its first lookup, so only flushes that land after the
+     loop starts count, and the loop never stops short of the keyspace
+     the final check reloads. *)
+  let landed_before = Atomic.get flushes in
   let i = ref 0 in
-  while Atomic.get flushes < 3 && !i < 5_000_000 do
+  while (!i < 100 || Atomic.get flushes < landed_before + 3) && !i < 5_000_000 do
     let k = !i mod 100 in
     let v = Memo.find_or_add memo ~key:(Printf.sprintf "k%d" k) (fun () -> k * 3) in
     if v <> k * 3 then failwith (Printf.sprintf "corrupt value for k%d: %d" k v);
