@@ -64,7 +64,14 @@ let sync_cost_cycles = 40.0
 (* The pending events: a binary min-heap in parallel arrays, ordered by
    time and then by scheduling order ([seq]).  That order fixes the RNG
    draw order, so every result depends on it.  Each resident warp has
-   exactly one pending event, so the arrays never grow. *)
+   exactly one pending event, so the arrays never grow.
+
+   An issue phase or a DRAM request schedules exactly one event, so its
+   handler reads the root and then [replace_top]s it: one sift down
+   instead of a pop's sift down and a push's sift up.  This is exact.
+   The new event still takes the next [seq] when it is scheduled, and
+   no two (time, seq) keys are equal, so any correct min-heap pops the
+   same sequence of events, whatever its layout. *)
 type queue = {
   times : float array;
   seqs : int array;
@@ -82,9 +89,13 @@ let[@inline] set q i time seq code =
 
 let[@inline] move q ~src ~dst = set q dst q.times.(src) q.seqs.(src) q.codes.(src)
 
-let[@inline] push q time code =
+let[@inline] next_seq q =
   let seq = q.scheduled in
   q.scheduled <- seq + 1;
+  seq
+
+let[@inline] push q time code =
+  let seq = next_seq q in
   let i = ref q.size in
   q.size <- q.size + 1;
   while !i > 0 && earlier time seq q.times.((!i - 1) / 2) q.seqs.((!i - 1) / 2) do
@@ -93,18 +104,21 @@ let[@inline] push q time code =
   done;
   set q !i time seq code
 
-(* Removes the earliest event and returns its code; read its time from
-   [q.times.(0)] first. *)
-let pop q =
-  let code = q.codes.(0) in
-  let n = q.size - 1 in
-  q.size <- n;
-  let time = q.times.(n) and seq = q.seqs.(n) and last = q.codes.(n) in
+(* Fills the root with the entry (time, seq, code), moving the earlier
+   child up while it precedes that entry.  The child choice compiles to
+   compare-and-set instructions, not a branch, which would be
+   mispredicted about half the time. *)
+let[@inline] sift_down q time seq code =
+  let n = q.size in
   let i = ref 0 and sifting = ref true in
   while !sifting do
     let l = (2 * !i) + 1 in
     let c =
-      if l + 1 < n && earlier q.times.(l + 1) q.seqs.(l + 1) q.times.(l) q.seqs.(l) then l + 1
+      if l + 1 < n then
+        let tl = q.times.(l) and tr = q.times.(l + 1) in
+        l
+        + (Bool.to_int (tr < tl)
+          lor (Bool.to_int (tr = tl) land Bool.to_int (q.seqs.(l + 1) < q.seqs.(l))))
       else l
     in
     if c < n && earlier q.times.(c) q.seqs.(c) time seq then begin
@@ -113,19 +127,34 @@ let pop q =
     end
     else sifting := false
   done;
-  set q !i time seq last;
-  code
+  set q !i time seq code
+
+(* Replaces the earliest event by one scheduled now. *)
+let[@inline] replace_top q time code = sift_down q time (next_seq q) code
+
+let pop q =
+  let n = q.size - 1 in
+  q.size <- n;
+  sift_down q q.times.(n) q.seqs.(n) q.codes.(n)
+
+(* [Float.max] without its two [caml_signbit] calls.  Every event time is
+   finite and at least [+0.] (see [check_durations]), and for those it
+   gives the same bits. *)
+let[@inline] later (a : float) b = if a >= b then a else b
 
 (* Event kinds, the low two bits of an event code.  The bits above hold
-   [period * slots + slot]: the slot of the resident block the warp
-   belongs to and, for the two warp phases, the warp's period. *)
+   the slot of the resident block the warp belongs to, in the low
+   [slot_bits] bits, and, for the two warp phases, the warp's period
+   above them.  The power-of-two stride decodes with a shift and a
+   mask. *)
 let issue_phase = 0
 
 let dram_request = 1
 
 let warp_done = 2
 
-let[@inline] event_code ~slots ~slot ~period kind = (((period * slots) + slot) lsl 2) lor kind
+let[@inline] event_code ~slot_bits ~slot ~period kind =
+  (((period lsl slot_bits) lor slot) lsl 2) lor kind
 
 (* Every event time is the current time plus one of these durations, or
    the later of two such times, so checking them once keeps every event
@@ -191,6 +220,12 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
      slot [i]; each later block takes the slot, and so the SM, of the
      block whose completion started it. *)
   let slots = min budget blocks_per_wave in
+  let slot_bits =
+    let rec bits b = if 1 lsl b >= slots then b else bits (b + 1) in
+    bits 0
+  in
+  let slot_mask = (1 lsl slot_bits) - 1 in
+  let sm_of_slot = Array.init slots (fun slot -> slot mod gpu.sm_count) in
   let capacity = slots * warps_per_block in
   let q =
     {
@@ -217,7 +252,7 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
     warps_left.(slot) <- warps_per_block;
     incr next_block;
     for _ = 1 to warps_per_block do
-      push q (now +. dispatch_cost) (event_code ~slots ~slot ~period:0 issue_phase)
+      push q (now +. dispatch_cost) (event_code ~slot_bits ~slot ~period:0 issue_phase)
     done
   in
   for slot = 0 to slots - 1 do
@@ -229,14 +264,13 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
   let half_mark = max 1 (budget / 2) in
   let phases = ref 0 and dram_requests = ref 0 in
   while q.size > 0 do
-    let now = q.times.(0) in
-    let code = pop q in
-    let slot = (code lsr 2) mod slots and period = (code lsr 2) / slots in
-    let sm = slot mod gpu.sm_count in
+    let now = q.times.(0) and code = q.codes.(0) in
+    let slot = (code lsr 2) land slot_mask and period = code lsr (slot_bits + 2) in
+    let sm = sm_of_slot.(slot) in
     match code land 3 with
     | 0 (* issue_phase *) ->
         incr phases;
-        let start = Float.max now issue_free.(sm) in
+        let start = later now issue_free.(sm) in
         let finish = start +. comp_chunk in
         issue_free.(sm) <- finish;
         issue_busy.(sm) <- issue_busy.(sm) +. comp_chunk;
@@ -245,11 +279,12 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
             Trace.record tr ~name:"issue" ~category:"compute" ~track:sm ~start
               ~duration:(finish -. start)
         | None -> ());
-        push q finish
-          (event_code ~slots ~slot ~period (if period >= periods then warp_done else dram_request))
+        replace_top q finish
+          (event_code ~slot_bits ~slot ~period
+             (if period >= periods then warp_done else dram_request))
     | 1 (* dram_request *) ->
         incr dram_requests;
-        let start = Float.max now !dram_free in
+        let start = later now !dram_free in
         let finish = start +. dram_service in
         dram_free := finish;
         dram_busy := !dram_busy +. dram_service;
@@ -259,10 +294,11 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
               ~duration:(finish -. start)
         | None -> ());
         let latency = base_latency *. (1.0 +. Rng.uniform rng ~lo:(-.jitter) ~hi:jitter) in
-        push q
-          (Float.max (now +. latency) finish)
-          (event_code ~slots ~slot ~period:(period + 1) issue_phase)
+        replace_top q
+          (later (now +. latency) finish)
+          (event_code ~slot_bits ~slot ~period:(period + 1) issue_phase)
     | _ (* warp_done *) ->
+        pop q;
         warps_left.(slot) <- warps_left.(slot) - 1;
         if warps_left.(slot) = 0 then begin
           (match trace with
@@ -304,7 +340,8 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
      else !dram_requests * int_of_float (Float.ceil (transactions /. float_of_int periods)));
   Obs.add c_events q.scheduled;
   if extrapolated then Obs.add c_extrapolated (total_blocks - budget);
-  Obs.add c_rng (!dram_requests + 1);
+  (* One draw per DRAM request, and two for the final lognormal. *)
+  Obs.add c_rng (!dram_requests + 2);
   let utilization busy = if span <= 0.0 then 0.0 else busy /. span in
   Ok
     {

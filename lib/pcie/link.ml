@@ -142,7 +142,8 @@ let transfer_time t direction memory ~bytes =
     | Device_to_host -> cfg.noise_sigma_small_d2h
   in
   let sigma = cfg.noise_sigma_base +. (sigma_small *. latency_fraction) in
-  Obs.incr c_rng;
+  (* A lognormal draws twice (Box-Muller). *)
+  Obs.add c_rng 2;
   let noisy = base *. Rng.lognormal_noise t.rng ~sigma in
   if cfg.outlier_probability > 0.0 then begin
     Obs.incr c_rng;

@@ -12,7 +12,9 @@
     independent simulated devices. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 state, kept unboxed
+    in 8 bytes.  A draw allocates nothing to advance it; only its
+    result, an [int64] or [float], may be boxed on return. *)
 
 val create : int64 -> t
 (** [create seed] makes a fresh generator.  Equal seeds yield equal
@@ -38,12 +40,14 @@ val uniform : t -> lo:float -> hi:float -> float
 
 val gaussian : t -> mu:float -> sigma:float -> float
 (** [gaussian t ~mu ~sigma] draws from a normal distribution using the
-    Box-Muller transform.  [sigma] must be non-negative. *)
+    Box-Muller transform, which takes two draws.  [sigma] must be
+    non-negative. *)
 
 val lognormal_noise : t -> sigma:float -> float
 (** [lognormal_noise t ~sigma] is a multiplicative noise factor with
-    median 1.0: [exp (gaussian ~mu:0 ~sigma)].  Used to perturb simulated
-    timings the way real measurements wobble. *)
+    median 1.0: [exp (gaussian ~mu:0 ~sigma)], so it takes two draws.
+    Used to perturb simulated timings the way real measurements
+    wobble. *)
 
 val int : t -> bound:int -> int
 (** [int t ~bound] is uniform in [\[0, bound)].  [bound] must be

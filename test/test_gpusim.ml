@@ -270,53 +270,53 @@ let pin_expected =
     (* quadro_fx_5600 *)
     [
       "time=3f1189a3a62a92e8 busy=3f0400981c414c55 dram=3fef99c30e2a9c7f issue=3fdd9c6813e95880";
-      "simk blocks=512/512 extrapolated=false events=32768 counters=512,16,16384,12288,24576,0,32768,0,12289";
+      "simk blocks=512/512 extrapolated=false events=32768 counters=512,16,16384,12288,24576,0,32768,0,12290";
       "trace=29184/0/ad232dd3ce8e03f0eb87679e00a901ac";
     ];
     [
       "time=3f320ddfb2f3b33d busy=3f30333a76c30436 dram=3feff853c2efef61 issue=3f8c5492b1787361";
-      "simk blocks=256/256 extrapolated=false events=24576 counters=256,8,12288,10240,266240,0,24576,0,10241";
+      "simk blocks=256/256 extrapolated=false events=24576 counters=256,8,12288,10240,266240,0,24576,0,10242";
       "trace=22784/0/a126ffb718938c77201701249f7d162b";
     ];
     [
       "time=3f0a2668b4f8a2e5 busy=3ef49549e06d6bba dram=0 issue=3fefa11caa01fa11";
-      "simk blocks=256/256 extrapolated=false events=4096 counters=256,8,2048,0,0,0,4096,0,1";
+      "simk blocks=256/256 extrapolated=false events=4096 counters=256,8,2048,0,0,0,4096,0,2";
       "trace=2304/0/f7ce82f40624b8ee1d64853706a5af21";
     ];
     [
       "time=3f5cf27b079fd3bf busy=3f5cc7252bf0fa42 dram=3fefc552c803fbc5 issue=3fec106f860399a8";
-      "simk blocks=2048/40000 extrapolated=true events=81920 counters=2048,32,40960,32768,65536,40960,81920,37952,32769";
+      "simk blocks=2048/40000 extrapolated=true events=81920 counters=2048,32,40960,32768,65536,40960,81920,37952,32770";
       "trace=75776/0/e8c5d8a4908b9975bcb4dcd09f4196b0";
     ];
     [
       "time=3f00c1aa4886ab75 busy=3ec125f0b96d355a dram=3fdae9abcb311f5d issue=3fc937e080c4c8f9";
-      "simk blocks=37/37 extrapolated=false events=592 counters=37,1,296,222,444,0,592,0,223";
+      "simk blocks=37/37 extrapolated=false events=592 counters=37,1,296,222,444,0,592,0,224";
       "trace=555/0/9a525ca0533ce77e3f93e29f751bf5d5";
     ];
     (* a100 *)
     [
       "time=3ede2867d3061555 busy=3ed2237eec41de3e dram=3fee2fd6b6c23174 issue=3fc44f2e233e1acf";
-      "simk blocks=512/512 extrapolated=false events=32768 counters=512,1,16384,12288,24576,0,32768,0,12289";
+      "simk blocks=512/512 extrapolated=false events=32768 counters=512,1,16384,12288,24576,0,32768,0,12290";
       "trace=29184/0/a27e5fb209779b59e52d4f7bb176670c";
     ];
     [
       "time=3efd2b789927c368 busy=3efa347ce9bce29f dram=3fefb856991ba093 issue=3f742e94f36e7bcd";
-      "simk blocks=256/256 extrapolated=false events=24576 counters=256,1,12288,10240,266240,0,24576,0,10241";
+      "simk blocks=256/256 extrapolated=false events=24576 counters=256,1,12288,10240,266240,0,24576,0,10242";
       "trace=22784/0/1980aa780a1a2bad675c978f28cb03bd";
     ];
     [
       "time=3ed2ec76f4cec9af busy=3eb8fcc2826b8d60 dram=0 issue=3fe43a2730abee42";
-      "simk blocks=256/256 extrapolated=false events=4096 counters=256,1,2048,0,0,0,4096,0,1";
+      "simk blocks=256/256 extrapolated=false events=4096 counters=256,1,2048,0,0,0,4096,0,2";
       "trace=2304/0/6fc38a051bd847af47918f76ed180fb7";
     ];
     [
       "time=3f2746efa71450ab busy=3f26bec3f3bd6e68 dram=3fef77aff61777ca issue=3fe5468791121747";
-      "simk blocks=3456/40000 extrapolated=true events=138240 counters=3456,2,69120,55296,110592,69120,138240,36544,55297";
+      "simk blocks=3456/40000 extrapolated=true events=138240 counters=3456,2,69120,55296,110592,69120,138240,36544,55298";
       "trace=127872/0/8ec7f8a12f319a750f5d166b8d3fa37c";
     ];
     [
       "time=3ed34cc8587ec988 busy=3ebb1200de6c3a3d dram=3faca39980875f12 issue=3f8344989effd608";
-      "simk blocks=37/37 extrapolated=false events=592 counters=37,1,296,222,444,0,592,0,223";
+      "simk blocks=37/37 extrapolated=false events=592 counters=37,1,296,222,444,0,592,0,224";
       "trace=555/0/3eea371e3236367429550f576e0dba08";
     ];
   ]
@@ -332,6 +332,30 @@ let test_bit_for_bit_pin () =
   List.iter2
     (fun (what, fields) expected -> Alcotest.(check (list string)) what expected fields)
     runs pin_expected
+
+(* [rng.draws] counts the draws a run makes: a fresh generator advanced
+   that many times stands exactly where the run left its generator. *)
+let test_rng_draws_counted () =
+  List.iter
+    (fun (gpu : Gpp_arch.Gpu.t) ->
+      List.iter
+        (fun (label, c) ->
+          Obs.reset ();
+          Obs.set_enabled true;
+          let rng = Rng.create 42L in
+          Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+              ignore (Helpers.check_ok "counted run" (Sim.run ~rng ~gpu c)));
+          let draws = Obs.value (Obs.counter "rng.draws") in
+          Obs.reset ();
+          let fresh = Rng.create 42L in
+          for _ = 1 to draws do
+            ignore (Rng.next_int64 fresh)
+          done;
+          Alcotest.(check int64)
+            (label ^ " on " ^ gpu.name)
+            (Rng.next_int64 fresh) (Rng.next_int64 rng))
+        pin_kernels)
+    pin_gpus
 
 (* Durations the event loop cannot schedule (negative, infinite or NaN)
    are an [Error] before any event runs, never an exception. *)
@@ -415,6 +439,7 @@ let () =
           Alcotest.test_case "pure compute" `Quick test_pure_compute_kernel;
           Alcotest.test_case "model agreement" `Quick test_agrees_with_model_on_regular_kernels;
           Alcotest.test_case "bit-for-bit pin" `Quick test_bit_for_bit_pin;
+          Alcotest.test_case "rng draws counted" `Quick test_rng_draws_counted;
           Alcotest.test_case "bad durations are errors" `Quick test_bad_durations_are_errors;
           test_generated_kernels;
         ] );

@@ -5,6 +5,7 @@ module Model = Gpp_pcie.Model
 module Calibrate = Gpp_pcie.Calibrate
 module Units = Gpp_util.Units
 module Stats = Gpp_util.Stats
+module Obs = Gpp_obs.Obs
 
 let make_link ?seed () =
   Link.create ?seed (Link.default_config Gpp_arch.Machine.argonne_node)
@@ -120,6 +121,49 @@ let test_outlier_mode () =
   let expected = Link.expected_time link Link.Host_to_device Link.Pinned ~bytes:Units.mib in
   let sample = Link.transfer_time link Link.Host_to_device Link.Pinned ~bytes:Units.mib in
   Helpers.close_rel ~tolerance:0.001 "forced outlier doubles" (2.0 *. expected) sample
+
+(* [rng.draws] counts every draw a transfer makes: two for the
+   lognormal noise (Box-Muller), one more for the outlier test when
+   outliers are on, and one more again when the outlier fires. *)
+let test_rng_draws_counted () =
+  let counted link =
+    Obs.reset ();
+    Obs.set_enabled true;
+    let sample =
+      Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+      Link.transfer_time link Link.Host_to_device Link.Pinned ~bytes:Units.mib
+    in
+    let draws = Obs.value (Obs.counter "rng.draws") in
+    Obs.reset ();
+    (sample, draws)
+  in
+  (* Without noise a sample is the expected time, or twice it when the
+     outlier fires. *)
+  let quiet =
+    {
+      (Link.default_config Gpp_arch.Machine.argonne_node) with
+      Link.outlier_slowdown = (2.0, 2.0);
+      noise_sigma_base = 0.0;
+      noise_sigma_small_h2d = 0.0;
+      noise_sigma_small_d2h = 0.0;
+    }
+  in
+  let off = Link.create quiet in
+  for _ = 1 to 10 do
+    Alcotest.(check int) "outliers off" 2 (snd (counted off))
+  done;
+  let on = Link.create { quiet with Link.outlier_probability = 0.5 } in
+  let expected = Link.expected_time on Link.Host_to_device Link.Pinned ~bytes:Units.mib in
+  let fired = ref 0 in
+  for _ = 1 to 20 do
+    let sample, draws = counted on in
+    if sample > expected then begin
+      incr fired;
+      Alcotest.(check int) "outlier fires" 4 draws
+    end
+    else Alcotest.(check int) "outlier does not fire" 3 draws
+  done;
+  Alcotest.(check bool) "both outcomes drawn" true (!fired > 0 && !fired < 20)
 
 (* Model *)
 
@@ -254,6 +298,7 @@ let () =
           Alcotest.test_case "noise varies" `Quick test_link_noise_varies;
           Alcotest.test_case "mean transfer time" `Quick test_mean_transfer_time;
           Alcotest.test_case "outlier mode" `Quick test_outlier_mode;
+          Alcotest.test_case "rng draws counted" `Quick test_rng_draws_counted;
         ] );
       ( "model",
         [

@@ -66,6 +66,46 @@ let test_rng_lognormal_median () =
   Helpers.close ~tolerance:0.02 "median near 1" 1.0 (Stats.median samples);
   List.iter (fun s -> Helpers.check_positive "noise factor" s) samples
 
+(* Known answers.  The raw streams are SplitMix64's published vectors;
+   the derived draws, taken in order from one seed-42 stream, were
+   recorded from the boxed-[int64] implementation, with floats as their
+   IEEE bits.  A change to the state representation must keep them all,
+   and so also how many raw draws each derived draw consumes. *)
+let test_rng_known_answers () =
+  let hex = Printf.sprintf "%016Lx" in
+  let bits f = hex (Int64.bits_of_float f) in
+  let first_three seed =
+    let rng = Rng.create seed in
+    let a = Rng.next_int64 rng in
+    let b = Rng.next_int64 rng in
+    let c = Rng.next_int64 rng in
+    String.concat " " [ hex a; hex b; hex c ]
+  in
+  Alcotest.(check string)
+    "seed 0" "e220a8397b1dcdaf 6e789e6aa1b965f4 06c45d188009454f" (first_three 0L);
+  Alcotest.(check string)
+    "seed 1234567" "599ed017fb08fc85 2c73f08458540fa5 883ebce5a3f27c77" (first_three 1234567L);
+  let rng = Rng.create 42L in
+  Alcotest.(check string) "float" "3fe7bae644c5fd6d" (bits (Rng.float rng));
+  Alcotest.(check string)
+    "uniform" "bfba1e6f0a174784"
+    (bits (Rng.uniform rng ~lo:(-0.15) ~hi:0.15));
+  Alcotest.(check string)
+    "gaussian" "bfe914a9e9d234f8"
+    (bits (Rng.gaussian rng ~mu:1.0 ~sigma:2.0));
+  Alcotest.(check string)
+    "lognormal_noise" "3ff055e6bd067ab4"
+    (bits (Rng.lognormal_noise rng ~sigma:0.012));
+  Alcotest.(check int) "int" 462 (Rng.int rng ~bound:1000);
+  Alcotest.(check bool) "bool 1" false (Rng.bool rng);
+  Alcotest.(check bool) "bool 2" true (Rng.bool rng);
+  Alcotest.(check bool) "bool 3" false (Rng.bool rng);
+  let child = Rng.split rng in
+  Alcotest.(check string) "split" "20250ec3a5ad4a25" (hex (Rng.next_int64 child));
+  let copy = Rng.copy rng in
+  Alcotest.(check string) "after split" "7e348a0e451650be" (hex (Rng.next_int64 rng));
+  Alcotest.(check string) "copy" "7e348a0e451650be" (hex (Rng.next_int64 copy))
+
 (* Stats *)
 
 let test_mean_and_variance () =
@@ -334,6 +374,7 @@ let () =
           test_rng_int_bound;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "lognormal median" `Quick test_rng_lognormal_median;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "stats",
         [
