@@ -7,24 +7,25 @@
 
 open Bechamel
 
+let context_exn = function
+  | Ok ctx -> ctx
+  | Error e -> failwith ("experiment context: " ^ Gpp_engine.Error.message e)
+
 (* The context (calibration + full measurement of every Table I
    instance) is built once; each experiment bench then regenerates its
-   table/figure from it, exactly as bin/experiments.exe does. *)
-let ctx = lazy (Gpp_experiments.Context.create ())
+   table/figure from it, exactly as `grophecy experiment` does. *)
+let ctx = lazy (context_exn (Gpp_experiments.Context.create ()))
 
 (* Cache A/B: the headline number for the memoized projection engine.
    The full suite (fresh context + every table/figure, exactly what
-   bin/experiments.exe runs) is timed four ways: cache bypassed, cold
+   `grophecy experiment` runs) is timed four ways: cache bypassed, cold
    cache (empty tables, populated as it runs), warm cache (tables left
    over from the cold run), and warm *disk* — tables flushed to a store
    directory, cleared from memory, and reloaded, which is what a cold
    process with a persistent cache pays. *)
 
 let run_full_suite () =
-  let ctx = Gpp_experiments.Context.create () in
-  List.iter
-    (fun (e : Gpp_experiments.Suite.entry) -> ignore (e.run ctx))
-    Gpp_experiments.Suite.all
+  ignore (context_exn (Gpp_experiments.Suite.run Gpp_experiments.Suite.all ~emit:ignore))
 
 (* Wall-clock timer.  Sys.time is process CPU time: it ignores waiting
    and, worse, *sums* across domains, so a perfectly parallel run would

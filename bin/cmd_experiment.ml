@@ -1,58 +1,55 @@
 open Cmdliner
+module Suite = Gpp_experiments.Suite
 
+(* With ids, each selected experiment; with none, the whole suite framed
+   as the paper report (test/golden/suite.expected): a banner and the
+   machine before it, the projection-cache footer after it.  An unknown
+   id or a context that cannot be built is a structured error through
+   the CLI's one return path — never a bare [exit] that skips
+   Cmd.eval'. *)
 let run ids list_only csv_dir config_file no_cache cache_dir trace verbose =
   match Cmd_common.scenario ?config_file ~no_cache ~cache_dir ~trace ~verbose () with
   | Error e -> Cmd_common.fail e
-  | Ok c ->
-      if list_only then begin
-        List.iter
-          (fun (e : Gpp_experiments.Suite.entry) -> Printf.printf "%-26s %s\n" e.id e.title)
-          Gpp_experiments.Suite.all;
-        0
-      end
-      else begin
-        (* Resolve every id before running anything, and report a usage
-           error (exit 2) through the same return path as the rest of the
-           CLI — never a bare [exit] that skips Cmd.eval'. *)
-        let entries =
-          match ids with
-          | [] -> Ok Gpp_experiments.Suite.all
-          | ids ->
-              List.fold_left
-                (fun acc id ->
-                  match (acc, Gpp_experiments.Suite.find id) with
-                  | Error e, _ -> Error e
-                  | Ok _, None -> Error id
-                  | Ok entries, Some e -> Ok (entries @ [ e ]))
-                (Ok []) ids
-        in
-        match entries with
-        | Error id ->
-            Printf.eprintf "unknown experiment id %s (try --list)\n" id;
-            2
-        | Ok entries ->
-            let ctx =
-              Gpp_obs.Obs.span "experiment.context" (fun () ->
-                  Gpp_experiments.Context.create ~machine:c.Gpp_engine.Config.machine
-                    ~seed:c.Gpp_engine.Config.seed ())
-            in
+  | Ok _ when list_only ->
+      print_string Suite.listing;
+      0
+  | Ok c -> (
+      let report = ids = [] in
+      let ( let* ) = Result.bind in
+      let result =
+        let* entries = Suite.select ids in
+        if report then begin
+          Printf.printf "GROPHECY++ reproduction: regenerating %d experiment(s)\n"
+            (List.length entries);
+          Printf.printf "calibrating the simulated testbed and measuring all workloads...\n";
+          Format.printf "%a@.@." Gpp_arch.Machine.pp c.machine
+        end;
+        Suite.run ~machine:c.machine ~seed:c.seed entries ~emit:(fun s ->
+            print_string s;
+            flush stdout)
+      in
+      match result with
+      | Error e -> Cmd_common.fail e
+      | Ok ctx ->
+          Option.iter
+            (fun dir ->
+              let written = Gpp_experiments.Export.write_all ctx ~dir in
+              Printf.printf "wrote %d CSV files to %s\n" (List.length written) dir)
+            csv_dir;
+          if report then begin
+            Printf.printf "projection cache: %s\n"
+              (if c.cache_enabled then "enabled" else "bypassed (--no-cache)");
             List.iter
-              (fun (e : Gpp_experiments.Suite.entry) ->
-                let out = Gpp_obs.Obs.span ("experiment." ^ e.id) (fun () -> e.run ctx) in
-                Gpp_experiments.Output.print out;
-                print_newline ())
-              entries;
-            (match csv_dir with
-            | None -> ()
-            | Some dir ->
-                let written = Gpp_experiments.Export.write_all ctx ~dir in
-                Printf.printf "wrote %d CSV files to %s\n" (List.length written) dir);
-            Gpp_core.Grophecy.log_cache_stats ();
-            0
-      end
+              (fun s -> Format.printf "  %a@." Gpp_cache.Memo.pp_snapshot s)
+              (Gpp_cache.Memo.snapshots ())
+          end;
+          Gpp_core.Grophecy.log_cache_stats ();
+          0)
 
 let cmd =
-  let doc = "Regenerate paper tables and figures (all, or selected by id)." in
+  let doc =
+    "Regenerate paper tables and figures: the whole suite as one report, or selected ids."
+  in
   let ids_arg = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids.") in
   let list_arg = Arg.(value & flag & info [ "list" ] ~doc:"List available experiment ids.") in
   let csv_arg =

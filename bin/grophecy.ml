@@ -13,7 +13,7 @@
      export-skel        dump a workload as a textual skeleton
      trace              per-kernel Chrome-trace export / trace selftest
      predict-transfer   price a single transfer with the calibrated model
-     experiment         regenerate paper tables/figures by id
+     experiment         regenerate the paper report, or tables/figures by id
      cache              inspect/verify/clear the persistent cache
      serve              long-running HTTP prediction service
 
@@ -62,9 +62,9 @@ let main_cmd =
     ]
 
 (* eval' with ~catch:false so a broken pipe propagates here instead of
-   being reported as an internal error: `grophecy suite | head` closing
-   stdout early is the downstream's prerogative, not a failure.  Any
-   other escaped exception reproduces Cmdliner's default report. *)
+   being reported as an internal error: `grophecy experiment | head`
+   closing stdout early is the downstream's prerogative, not a failure.
+   Any other escaped exception reproduces Cmdliner's default report. *)
 let () =
   Gpp_engine.Runtime.ignore_sigpipe ();
   let code =

@@ -42,6 +42,18 @@ let message = function
       Printf.sprintf "%s: lint found %d error(s) and %d warning(s)" program errors warnings
   | Usage message -> message
 
+let with_message e message =
+  match e with
+  | Parse p -> Parse { p with message }
+  | Projection p -> Projection { p with message }
+  | Calibration p -> Calibration { p with message }
+  | Simulation p -> Simulation { p with message }
+  | Cache p -> Cache { p with message }
+  | Io p -> Io { p with message }
+  | Config p -> Config { p with message }
+  | Usage _ -> Usage message
+  | Lint _ -> Projection { kernel = None; message }
+
 let category = function
   | Parse _ -> "parse"
   | Lint _ -> "lint"

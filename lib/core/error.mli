@@ -57,6 +57,12 @@ val message : t -> string
 (** The complete human-readable message (no category prefix — payload
     messages are full sentences). *)
 
+val with_message : t -> string -> t
+(** The same variant and context with a new message, for an error that
+    stands for several (one naming every failed workload of a run).  A
+    [Lint] error has no message of its own; it becomes a [Projection]
+    error, which has the same exit code. *)
+
 val category : t -> string
 (** Stable lowercase tag per variant ([parse], [lint], ...). *)
 

@@ -62,6 +62,10 @@ let explore ?cache ?analytic_params ?space ~machine (program : Program.t) =
   in
   Ok (List.rev kernels)
 
+let features ~source ~target (p : t) =
+  Gpp_predict.Features.extract ~source ~target ~program:p.program ~plan:p.plan
+    ~kernels:(List.map (fun kp -> kp.candidate.Explore.characteristics) p.kernels)
+
 (* Transfer pricing flows through the predictor: [pricing] carries the
    post-[Scaled] models and the optional [Learned] correction.  The
    default identity pricing reproduces the historical
@@ -91,34 +95,27 @@ let assemble ~(pricing : Pricing.t) ~kernels ~plan (program : Program.t) =
   in
   let transfer_time = List.fold_left (fun acc pt -> acc +. pt.time) 0.0 transfers in
   let total_time = kernel_time +. transfer_time in
-  let predicted_total =
-    match pricing.Pricing.correction with
-    | None -> total_time
-    | Some _ ->
-        let features =
-          Gpp_predict.Features.extract ~source:pricing.Pricing.source
-            ~target:pricing.Pricing.target ~program ~plan
-            ~kernels:
-              (List.map
-                 (fun kp -> kp.candidate.Explore.characteristics)
-                 kernels)
-        in
-        Pricing.corrected_total pricing ~features ~total:total_time
+  let p =
+    {
+      program;
+      machine;
+      pricing;
+      h2d = pricing.Pricing.h2d;
+      d2h = pricing.Pricing.d2h;
+      kernels;
+      kernel_time;
+      plan;
+      transfers;
+      transfer_time;
+      total_time;
+      predicted_total = total_time;
+    }
   in
-  {
-    program;
-    machine;
-    pricing;
-    h2d = pricing.Pricing.h2d;
-    d2h = pricing.Pricing.d2h;
-    kernels;
-    kernel_time;
-    plan;
-    transfers;
-    transfer_time;
-    total_time;
-    predicted_total;
-  }
+  match pricing.Pricing.correction with
+  | None -> p
+  | Some _ ->
+      let features = features ~source:pricing.Pricing.source ~target:pricing.Pricing.target p in
+      { p with predicted_total = Pricing.corrected_total pricing ~features ~total:total_time }
 
 let project ?cache ?analytic_params ?space ?policy ~pricing (program : Program.t) =
   Gpp_obs.Obs.span "core.project" @@ fun () ->

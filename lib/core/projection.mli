@@ -82,6 +82,11 @@ val assemble :
     correction (if attached) to the total, and build the projection
     record.  Pure — never fails. *)
 
+val features : source:Gpp_arch.Machine.t -> target:Gpp_arch.Machine.t -> t -> float array
+(** {!Gpp_predict.Features.extract} over the projection's program, plan
+    and chosen kernels, for a prediction from [source] onto [target]:
+    the learned correction's input, at pricing and at training time. *)
+
 val kernel_time_of : t -> string -> float option
 (** Predicted single-invocation time of a named kernel. *)
 

@@ -4,7 +4,6 @@ module Measurement = Gpp_core.Measurement
 module Analyzer = Gpp_dataflow.Analyzer
 module Registry = Gpp_workloads.Registry
 module Link = Gpp_pcie.Link
-module Features = Gpp_predict.Features
 module Correction = Gpp_predict.Correction
 module Obs = Gpp_obs.Obs
 
@@ -24,6 +23,23 @@ module Obs = Gpp_obs.Obs
    stream the goldens depend on nor depends on call order.  Training on
    a worker domain is safe. *)
 
+let measured_total ?cache ?sim_config ?runs ~(session : Grophecy.session) (p : Projection.t) =
+  let ( let* ) = Result.bind in
+  let machine = session.Grophecy.machine in
+  let* _kernel_measurements, kernel_time =
+    Measurement.measure_kernels ?cache ?sim_config ?runs ~seed:session.Grophecy.noise_seed ~machine
+      ~kernels:p.Projection.kernels p.Projection.program
+  in
+  let memory = Link.memory_of_staging machine.Gpp_arch.Machine.staging in
+  let transfer_time =
+    List.fold_left
+      (fun acc (tm : Measurement.transfer_measurement) -> acc +. tm.Measurement.time)
+      0.0
+      (Measurement.expected_transfers ~memory ~link:session.Grophecy.application_link
+         p.Projection.plan)
+  in
+  Ok (kernel_time +. transfer_time)
+
 let sample (config : Config.t) (session : Grophecy.session) (instance : Registry.instance) =
   let ( let* ) = Result.bind in
   let machine = session.Grophecy.machine in
@@ -34,29 +50,16 @@ let sample (config : Config.t) (session : Grophecy.session) (instance : Registry
   in
   let plan = Analyzer.analyze ?policy:config.Config.policy program in
   let projection = Projection.assemble ~pricing:session.Grophecy.pricing ~kernels ~plan program in
-  let* _kernel_measurements, measured_kernel_time =
-    Measurement.measure_kernels ?cache:config.Config.use_cache ?sim_config:config.Config.sim
-      ?runs:config.Config.runs ~seed:session.Grophecy.noise_seed ~machine ~kernels program
-  in
-  let memory = Link.memory_of_staging machine.Gpp_arch.Machine.staging in
-  let measured_transfer_time =
-    List.fold_left
-      (fun acc (tm : Measurement.transfer_measurement) -> acc +. tm.Measurement.time)
-      0.0
-      (Measurement.expected_transfers ~memory ~link:session.Grophecy.application_link plan)
-  in
-  let measured_total = measured_kernel_time +. measured_transfer_time in
-  let features =
-    Features.extract ~source:machine ~target:machine ~program ~plan
-      ~kernels:
-        (List.map
-           (fun (kp : Projection.kernel_projection) ->
-             kp.Projection.candidate.Gpp_transform.Explore.characteristics)
-           kernels)
+  let* measured =
+    measured_total ?cache:config.Config.use_cache ?sim_config:config.Config.sim
+      ?runs:config.Config.runs ~session projection
   in
   if projection.Projection.total_time <= 0.0 then
     Error (Error.config "learned predictor: non-positive projected total in training set")
-  else Ok (features, measured_total /. projection.Projection.total_time)
+  else
+    Ok
+      ( Projection.features ~source:machine ~target:machine projection,
+        measured /. projection.Projection.total_time )
 
 let correction ?exclude ~(config : Config.t) ~(session : Grophecy.session) () =
   Obs.span "engine.learn" @@ fun () ->

@@ -14,6 +14,18 @@
     includes [Learned] and attaches the result to the pipeline's
     pricing. *)
 
+val measured_total :
+  ?cache:bool ->
+  ?sim_config:Gpp_gpusim.Gpu_sim.config ->
+  ?runs:int ->
+  session:Gpp_core.Grophecy.session ->
+  Gpp_core.Projection.t ->
+  (float, Error.t) result
+(** The "measured" total a training sample is scored against: the
+    projection's kernels simulated on the session's machine from its
+    noise seed, plus the noise-free expected time of every planned
+    transfer on its application link.  Advances no RNG state. *)
+
 val correction :
   ?exclude:string ->
   config:Config.t ->

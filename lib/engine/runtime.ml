@@ -7,8 +7,8 @@
    at_exit handlers run in reverse order, so the final cache flush is
    still captured by the trace before the trailer is written. *)
 
-(* SIGPIPE kills the whole process by default, so `grophecy suite |
-   head` — or a server whose client hung up — dies mid-write instead of
+(* SIGPIPE kills the whole process by default, so `grophecy experiment
+   | head` — or a server whose client hung up — dies mid-write instead of
    seeing the EPIPE error on the write itself.  Ignoring the signal
    turns the kill into a regular [Sys_error]/[Unix_error] that each
    writer handles: the CLI exits 0 on a truncated stdout, the server

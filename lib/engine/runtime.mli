@@ -26,7 +26,7 @@ val is_broken_pipe : exn -> bool
 (** Recognise the exceptions a write to a closed peer raises once
     SIGPIPE is ignored ([EPIPE]/[ECONNRESET], or the stdlib's
     ["Broken pipe"] [Sys_error]).  A CLI whose stdout was truncated
-    ([grophecy suite | head]) should treat these as success. *)
+    ([grophecy experiment | head]) should treat these as success. *)
 
 val discard_stdout : unit -> unit
 (** After a broken pipe on stdout: silence [Format.std_formatter] and

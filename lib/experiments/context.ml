@@ -22,34 +22,33 @@ let create ?(machine = Gpp_arch.Machine.argonne_node) ?seed () =
   in
   let workloads = List.map Registry.key Registry.paper_instances in
   let batch = Engine.Batch.run config ~workloads in
-  (* Aggregate every failing workload into one report instead of
-     aborting on the first: a suite author sees the whole damage. *)
-  (match Engine.Batch.failed batch with
-  | [] -> ()
-  | failures ->
-      invalid_arg
-        (Printf.sprintf "Context.create: %d workload(s) failed: %s" (List.length failures)
-           (String.concat "; "
-              (List.map
-                 (fun ((cell : Engine.Batch.cell), e) ->
-                   Printf.sprintf "%s: %s" cell.workload (Engine.Error.message e))
-                 failures))));
-  let reports =
-    List.map
-      (fun ((cell : Engine.Batch.cell), r) -> (cell.workload, r))
-      (Engine.Batch.succeeded batch)
-  in
-  let instances =
-    List.map
-      (fun (inst : Registry.instance) -> (inst, List.assoc (Registry.key inst) reports))
-      Registry.paper_instances
-  in
-  let session =
-    match Engine.Batch.session batch ~machine:machine.Gpp_arch.Machine.name with
-    | Some s -> s
-    | None -> invalid_arg "Context.create: batch produced no session"
-  in
-  { session; machine; instances }
+  match Engine.Batch.failed batch with
+  | [] ->
+      let reports =
+        List.map
+          (fun ((cell : Engine.Batch.cell), r) -> (cell.workload, r))
+          (Engine.Batch.succeeded batch)
+      in
+      let instances =
+        List.map
+          (fun (inst : Registry.instance) -> (inst, List.assoc (Registry.key inst) reports))
+          Registry.paper_instances
+      in
+      let _, session = List.hd batch.Engine.Batch.sessions in
+      Ok { session; machine; instances }
+  | (_, first) :: _ as failures ->
+      (* One error naming every failing workload, not just the first:
+         a suite author sees the whole damage.  It keeps the first
+         failure's category, so its exit code and HTTP status. *)
+      Error
+        (Engine.Error.with_message first
+           (Printf.sprintf "%d workload(s) failed on %s: %s" (List.length failures)
+              machine.Gpp_arch.Machine.id
+              (String.concat "; "
+                 (List.map
+                    (fun ((cell : Engine.Batch.cell), e) ->
+                      Printf.sprintf "%s: %s" cell.workload (Engine.Error.message e))
+                    failures))))
 
 let session t = t.session
 

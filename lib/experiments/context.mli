@@ -7,12 +7,14 @@
 
 type t
 
-val create : ?machine:Gpp_arch.Machine.t -> ?seed:int64 -> unit -> t
+val create :
+  ?machine:Gpp_arch.Machine.t -> ?seed:int64 -> unit -> (t, Gpp_engine.Error.t) result
 (** Analyze every Table I instance at one iteration.  Defaults: the
     Argonne node, a fixed seed.
 
-    @raise Invalid_argument if any instance fails to analyze; the
-    message aggregates every failing workload, not just the first. *)
+    If any instance fails to analyze, the one error names every failing
+    workload, not just the first, and keeps the first failure's
+    category. *)
 
 val session : t -> Gpp_core.Grophecy.session
 

@@ -5,12 +5,11 @@ module Model = Gpp_pcie.Model
 module Calibrate = Gpp_pcie.Calibrate
 module Grophecy = Gpp_core.Grophecy
 module Projection = Gpp_core.Projection
-module Measurement = Gpp_core.Measurement
 module Error = Gpp_core.Error
 module Predictor = Gpp_predict.Predictor
 module Pricing = Gpp_predict.Pricing
 module Correction = Gpp_predict.Correction
-module Features = Gpp_predict.Features
+module Learn = Gpp_engine.Learn
 
 (* Cross-machine evaluation of the paper's calibration protocol: how far
    does a (alpha, beta) pair calibrated on machine A carry when its
@@ -191,36 +190,15 @@ type variants = {
 
 let measured_entries ?sim_config ?runs (ctx : mctx) =
   let ( let* ) = Result.bind in
-  let machine = ctx.machine in
-  let memory = Link.memory_of_staging machine.Machine.staging in
   let* entries =
     List.fold_left
       (fun acc (key, (p : Projection.t)) ->
         let* acc = acc in
-        let* _, kernel_time =
-          Measurement.measure_kernels ?sim_config ?runs ~seed:ctx.session.Grophecy.noise_seed
-            ~machine ~kernels:p.Projection.kernels p.Projection.program
-        in
-        let transfer_time =
-          List.fold_left
-            (fun a (tm : Measurement.transfer_measurement) -> a +. tm.Measurement.time)
-            0.0
-            (Measurement.expected_transfers ~memory ~link:ctx.session.Grophecy.application_link
-               p.Projection.plan)
-        in
-        Ok ((key, { projection = p; measured_total = kernel_time +. transfer_time }) :: acc))
+        let* measured_total = Learn.measured_total ?sim_config ?runs ~session:ctx.session p in
+        Ok ((key, { projection = p; measured_total }) :: acc))
       (Ok []) ctx.projections
   in
   Ok { ctx; entries = List.rev entries }
-
-let entry_features ~(source : vctx) ~(target : vctx) (e : ventry) =
-  Features.extract ~source:source.ctx.machine ~target:target.ctx.machine
-    ~program:e.projection.Projection.program ~plan:e.projection.Projection.plan
-    ~kernels:
-      (List.map
-         (fun (kp : Projection.kernel_projection) ->
-           kp.Projection.candidate.Gpp_transform.Explore.characteristics)
-         e.projection.Projection.kernels)
 
 let cross_total pricing (e : ventry) =
   let p =
@@ -259,7 +237,11 @@ let variant_errors ~lambda ~sizes ~predictor (source : vctx) (target : vctx) =
                   else
                     let base = cross_total pricing e' in
                     if base <= 0.0 then None
-                    else Some (entry_features ~source ~target e', e'.measured_total /. base))
+                    else
+                      Some
+                        ( Projection.features ~source:source.ctx.machine
+                            ~target:target.ctx.machine e'.projection,
+                          e'.measured_total /. base ))
                 target.entries
             in
             match Correction.fit ~lambda samples with

@@ -80,3 +80,23 @@ let all = paper @ ablations @ extensions
 let find id = List.find_opt (fun e -> e.id = id) all
 
 let ids () = List.map (fun e -> e.id) all
+
+let listing = String.concat "" (List.map (fun e -> Printf.sprintf "%-26s %s\n" e.id e.title) all)
+
+let select wanted =
+  match List.find_opt (fun id -> find id = None) wanted with
+  | Some id ->
+      Error
+        (Gpp_engine.Error.usage
+           (Printf.sprintf "unknown experiment id %s (known: %s)" id (String.concat ", " (ids ()))))
+  | None -> Ok (if wanted = [] then all else List.filter_map find wanted)
+
+let run ?machine ?seed entries ~emit =
+  let ( let* ) = Result.bind in
+  let* ctx = Gpp_obs.Obs.span "experiment.context" (Context.create ?machine ?seed) in
+  List.iter
+    (fun e ->
+      let out = Gpp_obs.Obs.span ("experiment." ^ e.id) (fun () -> e.run ctx) in
+      emit (Output.render out ^ "\n"))
+    entries;
+  Ok ctx

@@ -29,7 +29,8 @@ let c_errors = Obs.counter "serve.errors"
 let responses : (int * string * string) Memo.t Lazy.t =
   lazy
     (let m = Memo.create ~capacity:256 ~name:"serve.responses" () in
-     Memo.persist ~schema:1 m;
+     (* Schema 2: keys cover the whole scenario (see [scenario_key]). *)
+     Memo.persist ~schema:2 m;
      m)
 
 (* A computed (or error) response escaping the normal return path —
@@ -107,10 +108,29 @@ let coalesced ~key compute =
 
 (* --- request → memo key --------------------------------------------- *)
 
-(* The request shape plus every scenario field that influences response
-   bytes; anything else (cache switches, trace, jobs) only affects how
-   fast the answer arrives, never what it says. *)
-let request_key (c : Config.t) (r : Http.request) =
+(* Every scenario field that can change response bytes: the whole
+   record, with only the fields that affect how fast an answer arrives
+   (cache switches, trace, jobs, logging, the server's own address and
+   flush cadence) reset to fixed values.  A field added to [Config.t]
+   is part of the key unless it is reset here.  Computed once per
+   server. *)
+let scenario_key (c : Config.t) =
+  let scenario =
+    {
+      c with
+      Config.use_cache = None;
+      jobs = 1;
+      cache_enabled = true;
+      cache_dir = None;
+      trace = None;
+      verbose = false;
+      listen = "";
+      flush_every = 1;
+    }
+  in
+  Fingerprint.of_value Fingerprint.add_string (Marshal.to_string scenario [ Marshal.No_sharing ])
+
+let request_key ~scenario (r : Http.request) =
   let fp = Fingerprint.create () in
   Fingerprint.add_string fp "serve.request";
   Fingerprint.add_string fp r.meth;
@@ -121,29 +141,22 @@ let request_key (c : Config.t) (r : Http.request) =
       Fingerprint.add_string fp v)
     (List.sort compare r.query);
   Fingerprint.add_string fp r.body;
-  Fingerprint.add_string fp c.machine.Gpp_arch.Machine.name;
-  Fingerprint.add_int64 fp c.seed;
-  Fingerprint.add_float fp c.outlier_probability;
-  Fingerprint.add_int fp (Option.value c.runs ~default:(-1));
-  Fingerprint.add_int fp (Option.value c.iterations ~default:(-1));
-  let policy = Option.value c.policy ~default:Gpp_dataflow.Analyzer.default_policy in
-  Fingerprint.add_bool fp policy.Gpp_dataflow.Analyzer.sparse_exact;
-  Fingerprint.add_string fp (Gpp_dataflow.Analyzer.plan_policy_name policy.plan);
-  Fingerprint.add_string fp (Gpp_predict.Predictor.name c.predictor);
-  Fingerprint.add_float fp c.predict_lambda;
+  Fingerprint.add_string fp scenario;
   Fingerprint.digest fp
 
 (* --- endpoint handlers ----------------------------------------------- *)
 
 (* GET /experiment/ID — exactly the bytes `grophecy experiment ID`
-   writes to stdout: Output.render plus the CLI's separating newline. *)
+   writes to stdout. *)
 let run_experiment (c : Config.t) id =
-  match Gpp_experiments.Suite.find id with
-  | None -> fail_usage (Printf.sprintf "unknown experiment id %s (try GET /experiments)" id)
-  | Some e ->
-      let ctx = Gpp_experiments.Context.create ~machine:c.machine ~seed:c.seed () in
-      let out = e.run ctx in
-      (200, text_ct, Gpp_experiments.Output.render out ^ "\n")
+  let entries = match Gpp_experiments.Suite.select [ id ] with Ok es -> es | Error e -> fail e in
+  let body = Buffer.create 4096 in
+  match
+    Gpp_experiments.Suite.run ~machine:c.machine ~seed:c.seed entries
+      ~emit:(Buffer.add_string body)
+  with
+  | Ok _ -> (200, text_ct, Buffer.contents body)
+  | Error e -> fail e
 
 let split_csv v =
   String.split_on_char ',' v |> List.map String.trim |> List.filter (fun s -> s <> "")
@@ -280,18 +293,11 @@ let run_project (c : Config.t) (r : Http.request) =
       in
       (200, text_ct, body)
 
-let experiments_list () =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (e : Gpp_experiments.Suite.entry) ->
-      Buffer.add_string b (Printf.sprintf "%-26s %s\n" e.id e.title))
-    Gpp_experiments.Suite.all;
-  (200, text_ct, Buffer.contents b)
-
 (* --- the server ------------------------------------------------------ *)
 
 type t = {
   config : Config.t;
+  scenario : string;  (** {!scenario_key} of [config]. *)
   fd : Unix.file_descr;
   addr : Unix.sockaddr;
   stopping : bool Atomic.t;
@@ -330,8 +336,7 @@ let metrics () =
   (200, text_ct, Buffer.contents b)
 
 let respond_memo t (r : Http.request) compute =
-  let key = request_key t.config r in
-  coalesced ~key compute
+  coalesced ~key:(request_key ~scenario:t.scenario r) compute
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -341,7 +346,7 @@ let handle_request t (r : Http.request) =
   match (r.meth, r.path) with
   | "GET", "/healthz" -> health t
   | "GET", "/metrics" -> metrics ()
-  | "GET", "/experiments" -> experiments_list ()
+  | "GET", "/experiments" -> (200, text_ct, Gpp_experiments.Suite.listing)
   | ("GET" | "POST"), "/batch" -> respond_memo t r (fun () -> run_batch c r)
   | ("GET" | "POST"), "/project" -> respond_memo t r (fun () -> run_project c r)
   | "GET", path when starts_with ~prefix:"/experiment/" path ->
@@ -477,6 +482,7 @@ let start (c : Config.t) =
           let t =
             {
               config = c;
+              scenario = scenario_key c;
               fd;
               addr = Unix.getsockname fd;
               stopping = Atomic.make false;

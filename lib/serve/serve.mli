@@ -9,10 +9,12 @@
     - [GET /healthz] — liveness JSON (status, uptime, request count).
     - [GET /metrics] — [lib/obs] counters and cache-table statistics as
       plain [name value] lines.
-    - [GET /experiments] — available experiment ids, one per line.
+    - [GET /experiments] — available experiment ids, one per line
+      ([grophecy experiment --list]).
     - [GET /experiment/ID] — exactly what [grophecy experiment ID]
       writes to stdout (e.g. [/experiment/fig5] reproduces the fig5
-      golden byte-for-byte).
+      golden byte-for-byte).  A context that cannot be built (no paper
+      workload fits the scenario's machine) is that structured error.
     - [GET|POST /batch?machines=a,b&workloads=k1,k2&iterations=n1,n2] —
       the [grophecy batch] TSV for that matrix.
     - [GET /project?workload=app/size] or [POST /project] with a JSON
@@ -20,11 +22,10 @@
       the [grophecy project] report.
 
     Responses to the expensive endpoints are memoized in a persistent
-    table ([serve.responses]) keyed by the same structural fingerprints
-    the engine's memo tables use (request shape + the scenario fields
-    that influence output), and identical in-flight requests coalesce
-    onto one computation: N concurrent duplicates cost exactly one memo
-    miss.  The disk tier is flushed incrementally every
+    table ([serve.responses]) keyed by the request shape and every
+    scenario field that can change a body, and identical in-flight
+    requests coalesce onto one computation: N concurrent duplicates
+    cost exactly one memo miss.  The disk tier is flushed incrementally every
     [Config.flush_every] requests, so killing the server loses at most
     that many requests' worth of memoized work.
 

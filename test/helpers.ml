@@ -53,6 +53,18 @@ let check_contains msg ~needle haystack =
   if not (contains_substring ~needle haystack) then
     Alcotest.failf "%s: expected %S to appear" msg needle
 
+(* The paper's testbed with one byte of shared memory per SM and
+   32-thread blocks: no Table I kernel has a feasible transform on it,
+   so every paper workload fails to project. *)
+let tiny_machine =
+  let m = Gpp_arch.Machine.argonne_node in
+  {
+    m with
+    Gpp_arch.Machine.id = "tiny";
+    name = "tiny smem";
+    gpu = { m.gpu with Gpp_arch.Gpu.shared_mem_per_sm = 1; max_threads_per_block = 32 };
+  }
+
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 

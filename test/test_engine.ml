@@ -407,7 +407,7 @@ let test_batch_matrix () =
 (* Batch over the paper instances is exactly the experiment context:
    same sessions, same reports, in the same order. *)
 let test_batch_matches_context () =
-  let ctx = Gpp_experiments.Context.create () in
+  let ctx = Helpers.check_core "context" (Gpp_experiments.Context.create ()) in
   let batch =
     Engine.Batch.run Config.default
       ~workloads:

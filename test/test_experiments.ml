@@ -6,7 +6,7 @@ module Suite = Gpp_experiments.Suite
 
 (* One context shared by all cases: building it runs the full pipeline
    over every Table I instance, which is the expensive part. *)
-let ctx = lazy (Context.create ())
+let ctx = lazy (Helpers.check_core "context" (Context.create ()))
 
 let test_context_instances () =
   let ctx = Lazy.force ctx in
@@ -232,19 +232,62 @@ let test_csv_write_all () =
       Alcotest.(check bool) (path ^ " non-empty") true (len > 0))
     written
 
+(* A machine no paper workload fits: one structured error that names
+   every failing workload and keeps their category (exit code 1). *)
+let test_context_names_every_failure () =
+  let e =
+    Helpers.check_core_error "tiny machine" (Context.create ~machine:Helpers.tiny_machine ())
+  in
+  Alcotest.(check string) "category" "projection" (Gpp_engine.Error.category e);
+  Alcotest.(check int) "exit code" 1 (Gpp_engine.Error.exit_code e);
+  let message = Gpp_engine.Error.message e in
+  Helpers.check_contains "count" ~needle:"10 workload(s) failed on tiny" message;
+  List.iter
+    (fun inst ->
+      Helpers.check_contains "names the workload" ~needle:(Gpp_workloads.Registry.key inst) message)
+    Gpp_workloads.Registry.paper_instances;
+  (* The suite runner hands the same error back and renders nothing. *)
+  let emitted = ref 0 in
+  let e' =
+    Helpers.check_core_error "suite on tiny"
+      (Suite.run ~machine:Helpers.tiny_machine Suite.all ~emit:(fun _ -> incr emitted))
+  in
+  Alcotest.(check string) "same error" message (Gpp_engine.Error.message e');
+  Alcotest.(check int) "nothing emitted" 0 !emitted
+
 let test_suite_registry () =
   Alcotest.(check int) "13 paper experiments" 13 (List.length Suite.paper);
   Alcotest.(check int) "5 ablations" 5 (List.length Suite.ablations);
   Alcotest.(check int) "5 extensions" 5 (List.length Suite.extensions);
   Alcotest.(check bool) "find fig7" true (Suite.find "fig7" <> None);
   Alcotest.(check bool) "find miss" true (Suite.find "fig99" = None);
-  Alcotest.(check int) "ids" 23 (List.length (Suite.ids ()))
+  Alcotest.(check int) "ids" 23 (List.length (Suite.ids ()));
+  let ids es = List.map (fun (e : Suite.entry) -> e.id) es in
+  Alcotest.(check (list string))
+    "no ids: the whole suite" (Suite.ids ())
+    (ids (Helpers.check_core "select []" (Suite.select [])));
+  Alcotest.(check (list string))
+    "ids keep their order" [ "fig7"; "fig2" ]
+    (ids (Helpers.check_core "select" (Suite.select [ "fig7"; "fig2" ])));
+  let e = Helpers.check_core_error "unknown id" (Suite.select [ "fig2"; "fig99"; "fig98" ]) in
+  Alcotest.(check int) "unknown id is a usage error" 2 (Gpp_engine.Error.exit_code e);
+  Helpers.check_contains "names the first unknown id" ~needle:"unknown experiment id fig99"
+    (Gpp_engine.Error.message e);
+  let lines = String.split_on_char '\n' Suite.listing in
+  Alcotest.(check int) "one listing line per experiment" 24 (List.length lines);
+  Alcotest.(check string)
+    "listing line"
+    (Printf.sprintf "%-26s %s" "fig2" "Transfer time for pinned and pageable memory")
+    (List.hd lines)
 
 let () =
   Alcotest.run "gpp_experiments"
     [
       ( "context",
-        [ Alcotest.test_case "instances" `Quick test_context_instances ] );
+        [
+          Alcotest.test_case "instances" `Quick test_context_instances;
+          Alcotest.test_case "names every failure" `Quick test_context_names_every_failure;
+        ] );
       ( "figures",
         [
           Alcotest.test_case "fig2 points" `Quick test_fig2_points;

@@ -218,7 +218,7 @@ let test_overlap_cannot_flip_stassuij () =
 (* Roofline sweep *)
 
 let test_roofline_shape () =
-  let ctx = Gpp_experiments.Context.create () in
+  let ctx = Helpers.check_core "context" (Gpp_experiments.Context.create ()) in
   let pts = Gpp_experiments.Extensions.roofline_points ctx in
   (* Model and simulator agree within 50% everywhere. *)
   List.iter

@@ -21,27 +21,35 @@ let tmp_cache_dir =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   dir
 
-let test_config ~listen =
-  let overrides =
-    {
-      Config.no_overrides with
-      Config.o_listen = Some listen;
-      o_cache_dir = Some tmp_cache_dir;
-    }
-  in
-  match Config.resolve ~getenv:(fun _ -> None) ~overrides () with
-  | Error e -> Alcotest.failf "config: %s" (Error.message e)
-  | Ok c ->
-      Gpp_engine.Runtime.install c;
-      c
+(* The scenario every in-process server here starts from: an ephemeral
+   port and a per-process cache directory, installed once. *)
+let scenario =
+  lazy
+    (let overrides =
+       {
+         Config.no_overrides with
+         Config.o_listen = Some "127.0.0.1:0";
+         o_cache_dir = Some tmp_cache_dir;
+       }
+     in
+     match Config.resolve ~getenv:(fun _ -> None) ~overrides () with
+     | Error e -> Alcotest.failf "config: %s" (Error.message e)
+     | Ok c ->
+         Gpp_engine.Runtime.install c;
+         c)
+
+let start c =
+  match Serve.start c with
+  | Error e -> Alcotest.failf "Serve.start: %s" (Error.message e)
+  | Ok t -> t
+
+let with_server c f =
+  let t = start c in
+  Fun.protect ~finally:(fun () -> Serve.stop t) (fun () -> f t)
 
 (* One shared in-process server: every test reads counters as deltas so
    ordering stays irrelevant. *)
-let server =
-  lazy
-    (match Serve.start (test_config ~listen:"127.0.0.1:0") with
-    | Error e -> Alcotest.failf "Serve.start: %s" (Error.message e)
-    | Ok t -> t)
+let server = lazy (start (Lazy.force scenario))
 
 let get ?meth ?body target =
   match Serve.request (Lazy.force server) ?meth ?body target with
@@ -252,16 +260,70 @@ let test_listen_parse_errors () =
 (* A Unix-domain listener speaks the same protocol. *)
 let test_unix_socket_roundtrip () =
   let path = Filename.concat tmp_cache_dir "serve.sock" in
-  match Serve.start { Config.default with Config.listen = "unix:" ^ path } with
-  | Error e -> Alcotest.failf "unix listen: %s" (Error.message e)
-  | Ok t ->
-      Fun.protect
-        ~finally:(fun () -> Serve.stop t)
-        (fun () ->
-          Alcotest.(check string) "address" ("unix:" ^ path) (Serve.address t);
-          match Serve.request t "/healthz" with
-          | Ok (status, _, _) -> Alcotest.(check int) "healthz over unix socket" 200 status
-          | Error msg -> Alcotest.failf "unix request: %s" msg)
+  with_server { (Lazy.force scenario) with Config.listen = "unix:" ^ path } @@ fun t ->
+  Alcotest.(check string) "address" ("unix:" ^ path) (Serve.address t);
+  match Serve.request t "/healthz" with
+  | Ok (status, _, _) -> Alcotest.(check int) "healthz over unix socket" 200 status
+  | Error msg -> Alcotest.failf "unix request: %s" msg
+
+(* On a machine no paper workload fits, the experiment context cannot
+   be built.  The reply is that structured error, with its own category
+   and status, and it is not counted as a server error. *)
+let test_experiment_context_error () =
+  with_server { (Lazy.force scenario) with Config.machine = Helpers.tiny_machine } @@ fun t ->
+  let errors = counter "serve.errors" in
+  match Serve.request t "/experiment/fig5" with
+  | Error msg -> Alcotest.failf "request: %s" msg
+  | Ok (status, _, body) -> (
+      Alcotest.(check int) "status" 500 status;
+      Alcotest.(check int) "serve.errors unchanged" errors (counter "serve.errors");
+      match Json.parse body with
+      | Ok (Json.Obj fields) ->
+          Alcotest.(check bool)
+            "projection category" true
+            (List.assoc_opt "error" fields = Some (Json.Str "projection"));
+          (match List.assoc_opt "message" fields with
+          | Some (Json.Str m) ->
+              Helpers.check_contains "names every workload" ~needle:"10 workload(s) failed" m;
+              Helpers.check_contains "names cfd/97K" ~needle:"cfd/97K" m
+          | _ -> Alcotest.fail "missing string message")
+      | Ok _ -> Alcotest.fail "error body is not a JSON object"
+      | Error msg -> Alcotest.failf "error body is not JSON: %s" msg)
+
+(* Two servers that differ only in the simulator group share one
+   process, so one response memo.  Each must answer from its own
+   scenario: the memo key covers every field that can change a body. *)
+let test_scenario_keys_responses () =
+  let base = Lazy.force scenario in
+  let slower =
+    {
+      base with
+      Config.sim =
+        Some
+          {
+            Gpp_gpusim.Gpu_sim.default_config with
+            streaming_efficiency = 0.5;
+            scattered_efficiency = 0.2;
+          };
+    }
+  in
+  let workloads = [ "vecadd/16M" ] in
+  let body c =
+    with_server c @@ fun t ->
+    match Serve.request t "/batch?workloads=vecadd/16M" with
+    | Ok (200, _, body) -> body
+    | Ok (status, _, body) -> Alcotest.failf "batch: %d %s" status body
+    | Error msg -> Alcotest.failf "batch: %s" msg
+  in
+  let base_body = body base in
+  let slower_body = body slower in
+  Alcotest.(check string)
+    "default sim" (Gpp_engine.Batch.to_tsv (Gpp_engine.Batch.run base ~workloads)) base_body;
+  Alcotest.(check string)
+    "slower DRAM"
+    (Gpp_engine.Batch.to_tsv (Gpp_engine.Batch.run slower ~workloads))
+    slower_body;
+  Alcotest.(check bool) "the sim group changes the body" true (base_body <> slower_body)
 
 let () =
   Alcotest.run "serve"
@@ -283,5 +345,9 @@ let () =
             test_broken_pipe_connection_only;
           Alcotest.test_case "listen parse errors" `Quick test_listen_parse_errors;
           Alcotest.test_case "unix socket round-trip" `Quick test_unix_socket_roundtrip;
+          Alcotest.test_case "experiment context error: structured" `Quick
+            test_experiment_context_error;
+          Alcotest.test_case "scenario keys the response memo" `Quick
+            test_scenario_keys_responses;
         ] );
     ]
