@@ -14,7 +14,7 @@ let context_exn = function
 (* The context (calibration + full measurement of every Table I
    instance) is built once; each experiment bench then regenerates its
    table/figure from it, exactly as `grophecy experiment` does. *)
-let ctx = lazy (context_exn (Gpp_experiments.Context.create ()))
+let ctx = lazy (context_exn (Gpp_experiments.Context.create Gpp_engine.Config.default))
 
 (* Cache A/B: the headline number for the memoized projection engine.
    The full suite (fresh context + every table/figure, exactly what
@@ -25,7 +25,9 @@ let ctx = lazy (context_exn (Gpp_experiments.Context.create ()))
    process with a persistent cache pays. *)
 
 let run_full_suite () =
-  ignore (context_exn (Gpp_experiments.Suite.run Gpp_experiments.Suite.all ~emit:ignore))
+  ignore
+    (context_exn
+       (Gpp_experiments.Suite.run Gpp_engine.Config.default Gpp_experiments.Suite.all ~emit:ignore))
 
 (* Wall-clock timer.  Sys.time is process CPU time: it ignores waiting
    and, worse, *sums* across domains, so a perfectly parallel run would

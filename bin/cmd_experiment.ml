@@ -24,7 +24,7 @@ let run ids list_only csv_dir config_file no_cache cache_dir trace verbose =
           Printf.printf "calibrating the simulated testbed and measuring all workloads...\n";
           Format.printf "%a@.@." Gpp_arch.Machine.pp c.machine
         end;
-        Suite.run ~machine:c.machine ~seed:c.seed entries ~emit:(fun s ->
+        Suite.run c entries ~emit:(fun s ->
             print_string s;
             flush stdout)
       in

@@ -58,8 +58,8 @@ let default =
 let machine_names = List.map (fun (m : Machine.t) -> m.Machine.id) Machine.catalog
 
 (* Builtin-catalog lookup, for callers that resolve a name without a
-   scenario (simple CLI commands, the serve API).  Layered resolution
-   goes through [t.machines] instead, so file-loaded machines are
+   scenario (simple CLI commands).  Layered resolution and the serve
+   API go through [t.machines] instead, so file-loaded machines are
    addressable too. *)
 let machine_of_name name = Machines.find Machine.catalog name
 

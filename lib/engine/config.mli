@@ -71,8 +71,8 @@ val default : t
 
 val machine_of_name : string -> (Gpp_arch.Machine.t, string) result
 (** Builtin-catalog lookup by id, for callers without a resolved
-    scenario (simple CLI commands, the serve API).  Scenario layers use
-    {!find_machine} so file-loaded machines resolve too. *)
+    scenario (simple CLI commands).  Scenario layers and the serve API
+    use {!find_machine} so file-loaded machines resolve too. *)
 
 val find_machine : t -> string -> (Gpp_arch.Machine.t, string) result
 (** Lookup in the scenario's resolved [machines] catalog. *)

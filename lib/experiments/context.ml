@@ -12,14 +12,8 @@ type t = {
    creates the calibrated session and runs the cells in paper order,
    which is the exact session/analyze order this module always used, so
    the reports are bit-identical to the pre-engine implementation. *)
-let create ?(machine = Gpp_arch.Machine.argonne_node) ?seed () =
-  let config =
-    {
-      Engine.Config.default with
-      Engine.Config.machine;
-      seed = Option.value seed ~default:Engine.Config.default.Engine.Config.seed;
-    }
-  in
+let create (config : Engine.Config.t) =
+  let machine = config.machine in
   let workloads = List.map Registry.key Registry.paper_instances in
   let batch = Engine.Batch.run config ~workloads in
   match Engine.Batch.failed batch with

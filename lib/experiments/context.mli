@@ -7,10 +7,12 @@
 
 type t
 
-val create :
-  ?machine:Gpp_arch.Machine.t -> ?seed:int64 -> unit -> (t, Gpp_engine.Error.t) result
-(** Analyze every Table I instance at one iteration.  Defaults: the
-    Argonne node, a fixed seed.
+val create : Gpp_engine.Config.t -> (t, Gpp_engine.Error.t) result
+(** Analyze every Table I instance under a resolved scenario, exactly
+    as [grophecy batch] does on the scenario's machine: its seed,
+    simulator, model and predictor parameters, runs and iterations all
+    apply.  {!Gpp_engine.Config.default} is the paper's setting, the
+    Argonne node.
 
     If any instance fails to analyze, the one error names every failing
     workload, not just the first, and keeps the first failure's

@@ -91,9 +91,9 @@ let select wanted =
            (Printf.sprintf "unknown experiment id %s (known: %s)" id (String.concat ", " (ids ()))))
   | None -> Ok (if wanted = [] then all else List.filter_map find wanted)
 
-let run ?machine ?seed entries ~emit =
+let run config entries ~emit =
   let ( let* ) = Result.bind in
-  let* ctx = Gpp_obs.Obs.span "experiment.context" (Context.create ?machine ?seed) in
+  let* ctx = Gpp_obs.Obs.span "experiment.context" (fun () -> Context.create config) in
   List.iter
     (fun e ->
       let out = Gpp_obs.Obs.span ("experiment." ^ e.id) (fun () -> e.run ctx) in

@@ -33,13 +33,12 @@ val select : string list -> (entry list, Gpp_engine.Error.t) result
     and every known id. *)
 
 val run :
-  ?machine:Gpp_arch.Machine.t ->
-  ?seed:int64 ->
+  Gpp_engine.Config.t ->
   entry list ->
   emit:(string -> unit) ->
   (Context.t, Gpp_engine.Error.t) result
-(** Build the shared context ({!Context.create}, in the obs span
-    [experiment.context]), then run each entry in order (span
+(** Build the shared context under the scenario ({!Context.create}, in
+    the obs span [experiment.context]), then run each entry in order (span
     [experiment.ID]) and hand [emit] its rendering plus a separating
     blank line: the bytes [grophecy experiment ID] prints for it.  The
     context comes back for callers that also export it. *)

@@ -61,84 +61,177 @@ type result = {
    sync-heavy kernels do not diverge for bookkeeping reasons alone. *)
 let sync_cost_cycles = 40.0
 
-(* The pending events: a binary min-heap in parallel arrays, ordered by
-   time and then by scheduling order ([seq]).  That order fixes the RNG
-   draw order, so every result depends on it.  Each resident warp has
-   exactly one pending event, so the arrays never grow.
+(* The pending events: a calendar queue (Brown, CACM 31(10), 1988),
+   popped in time order and then in scheduling order ([seq]).  That
+   order fixes the RNG draw order, so every result depends on it.  No
+   two (time, seq) keys are equal, so any correct priority queue pops
+   the same sequence of events; the binary heap this replaced did.
 
-   An issue phase or a DRAM request schedules exactly one event, so its
-   handler reads the root and then [replace_top]s it: one sift down
-   instead of a pop's sift down and a push's sift up.  This is exact.
-   The new event still takes the next [seq] when it is scheduled, and
-   no two (time, seq) keys are equal, so any correct min-heap pops the
-   same sequence of events, whatever its layout. *)
+   Node [i] is resident warp [i], which has exactly one pending event,
+   so nothing grows or allocates while the simulation runs.  Time is
+   cut into slots of [width] seconds, and a node sits in bucket [slot
+   land mask], in a list sorted by (time, seq).  Slots are monotone in
+   time, so the earliest node of the smallest pending slot is a bucket
+   head, and [pop] finds it by walking the slots up from the last one
+   popped.  An event is scheduled with the largest [seq] yet, so it
+   goes after every node of its time: mostly at the tail, in O(1).
+   After a whole year of buckets ([mask + 1] slots) without an event,
+   [pop] takes the earliest head directly.  Every [capacity] pops the
+   width is re-estimated from the mean gap between popped events, and
+   the nodes are re-bucketed when it has drifted by more than 2x. *)
 type queue = {
   times : float array;
   seqs : int array;
   codes : int array;
+  slots : int array;
+  next : int array;  (** The next node in the same bucket, or -1. *)
+  heads : int array;  (** Per bucket: the first node, or -1 when empty. *)
+  tails : int array;  (** Per bucket: the last node, while not empty. *)
+  mask : int;
+  mutable inv_width : float;
+  mutable current : int;  (** No pending event has a smaller slot. *)
   mutable size : int;
-  mutable scheduled : int;  (** Events pushed so far; the next [seq]. *)
+  mutable scheduled : int;  (** Events scheduled so far; the next [seq]. *)
+  mutable window_pops : int;
+  mutable window_start : float;
 }
 
-let[@inline] earlier (t1 : float) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
+(* Slots above this are clamped to it, so [current] plus a year never
+   overflows, and [slot_of] stays monotone for every time, infinity
+   included.  It is 2^52, so every smaller slot converts exactly. *)
+let max_slot = 1 lsl 52
 
-let[@inline] set q i time seq code =
+let[@inline] slot_of q time =
+  let x = time *. q.inv_width in
+  if x < 4503599627370496.0 then int_of_float x else max_slot
+
+(* A slot spans this many mean gaps between popped events.  A width is
+   only used while it and [1 / width] are finite and positive. *)
+let width_per_gap = 2.0
+
+let usable_width w = w > 0.0 && Float.is_finite w && Float.is_finite (1.0 /. w)
+
+let create_queue ~capacity ~start ~width =
+  let buckets =
+    let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
+    pow2 1
+  in
+  {
+    times = Array.make capacity 0.0;
+    seqs = Array.make capacity 0;
+    codes = Array.make capacity 0;
+    slots = Array.make capacity 0;
+    next = Array.make capacity (-1);
+    heads = Array.make buckets (-1);
+    tails = Array.make buckets (-1);
+    mask = buckets - 1;
+    inv_width = (if usable_width width then 1.0 /. width else 1.0);
+    current = 0;
+    size = 0;
+    scheduled = 0;
+    window_pops = 0;
+    window_start = start;
+  }
+
+let[@inline] earlier q i j =
+  q.times.(i) < q.times.(j) || (q.times.(i) = q.times.(j) && q.seqs.(i) < q.seqs.(j))
+
+(* Links node [i] into its bucket after every earlier node. *)
+let[@inline] insert q i =
+  let b = q.slots.(i) land q.mask in
+  let h = q.heads.(b) in
+  if h < 0 || earlier q q.tails.(b) i then begin
+    q.next.(i) <- -1;
+    if h < 0 then q.heads.(b) <- i else q.next.(q.tails.(b)) <- i;
+    q.tails.(b) <- i
+  end
+  else if earlier q i h then begin
+    q.next.(i) <- h;
+    q.heads.(b) <- i
+  end
+  else begin
+    (* The tail is later than node [i], so the walk stops before it. *)
+    let p = ref h in
+    while earlier q q.next.(!p) i do
+      p := q.next.(!p)
+    done;
+    q.next.(i) <- q.next.(!p);
+    q.next.(!p) <- i
+  end
+
+(* Schedules node [i]'s next event, which takes the next [seq]. *)
+let[@inline] schedule q i time code =
   q.times.(i) <- time;
-  q.seqs.(i) <- seq;
-  q.codes.(i) <- code
-
-let[@inline] move q ~src ~dst = set q dst q.times.(src) q.seqs.(src) q.codes.(src)
-
-let[@inline] next_seq q =
-  let seq = q.scheduled in
-  q.scheduled <- seq + 1;
-  seq
-
-let[@inline] push q time code =
-  let seq = next_seq q in
-  let i = ref q.size in
+  q.seqs.(i) <- q.scheduled;
+  q.codes.(i) <- code;
+  q.slots.(i) <- slot_of q time;
+  q.scheduled <- q.scheduled + 1;
   q.size <- q.size + 1;
-  while !i > 0 && earlier time seq q.times.((!i - 1) / 2) q.seqs.((!i - 1) / 2) do
-    move q ~src:((!i - 1) / 2) ~dst:!i;
-    i := (!i - 1) / 2
+  insert q i
+
+(* The earliest bucket head, for when a year of slots held no event. *)
+let earliest_head q =
+  let best = ref (-1) in
+  for b = 0 to q.mask do
+    let h = q.heads.(b) in
+    if h >= 0 && (!best < 0 || earlier q h !best) then best := h
   done;
-  set q !i time seq code
+  !best
 
-(* Fills the root with the entry (time, seq, code), moving the earlier
-   child up while it precedes that entry.  The child choice compiles to
-   compare-and-set instructions, not a branch, which would be
-   mispredicted about half the time. *)
-let[@inline] sift_down q time seq code =
-  let n = q.size in
-  let i = ref 0 and sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    let c =
-      if l + 1 < n then
-        let tl = q.times.(l) and tr = q.times.(l + 1) in
-        l
-        + (Bool.to_int (tr < tl)
-          lor (Bool.to_int (tr = tl) land Bool.to_int (q.seqs.(l + 1) < q.seqs.(l))))
-      else l
-    in
-    if c < n && earlier q.times.(c) q.seqs.(c) time seq then begin
-      move q ~src:c ~dst:!i;
-      i := c
-    end
-    else sifting := false
+(* Re-buckets every pending node under a new width. *)
+let rebuild q ~width ~now =
+  let pending = ref (-1) in
+  for b = 0 to q.mask do
+    let i = ref q.heads.(b) in
+    while !i >= 0 do
+      let n = q.next.(!i) in
+      q.next.(!i) <- !pending;
+      pending := !i;
+      i := n
+    done;
+    q.heads.(b) <- -1
   done;
-  set q !i time seq code
+  q.inv_width <- 1.0 /. width;
+  while !pending >= 0 do
+    let i = !pending in
+    pending := q.next.(i);
+    q.slots.(i) <- slot_of q q.times.(i);
+    insert q i
+  done;
+  q.current <- slot_of q now
 
-(* Replaces the earliest event by one scheduled now. *)
-let[@inline] replace_top q time code = sift_down q time (next_seq q) code
-
+(* Removes the earliest pending event and returns its node. *)
 let pop q =
-  let n = q.size - 1 in
-  q.size <- n;
-  sift_down q q.times.(n) q.seqs.(n) q.codes.(n)
+  let slot = ref q.current and node = ref (-1) and left = ref q.mask in
+  while !node < 0 do
+    let h = q.heads.(!slot land q.mask) in
+    if h >= 0 && q.slots.(h) = !slot then node := h
+    else if !left = 0 then begin
+      node := earliest_head q;
+      slot := q.slots.(!node)
+    end
+    else begin
+      incr slot;
+      decr left
+    end
+  done;
+  let i = !node in
+  q.heads.(!slot land q.mask) <- q.next.(i);
+  q.current <- !slot;
+  q.size <- q.size - 1;
+  q.window_pops <- q.window_pops + 1;
+  if q.window_pops = Array.length q.times then begin
+    let now = q.times.(i) in
+    let width = width_per_gap *. (now -. q.window_start) /. float_of_int q.window_pops in
+    let drift = width *. q.inv_width in
+    if usable_width width && (drift > 2.0 || drift < 0.5) then rebuild q ~width ~now;
+    q.window_pops <- 0;
+    q.window_start <- now
+  end;
+  i
 
 (* [Float.max] without its two [caml_signbit] calls.  Every event time is
-   finite and at least [+0.] (see [check_durations]), and for those it
+   at least [+0.] and never NaN (see [check_durations]), and for those it
    gives the same bits. *)
 let[@inline] later (a : float) b = if a >= b then a else b
 
@@ -158,7 +251,8 @@ let[@inline] event_code ~slot_bits ~slot ~period kind =
 
 (* Every event time is the current time plus one of these durations, or
    the later of two such times, so checking them once keeps every event
-   time finite and never in the past. *)
+   time in the range [+0., infinity] and never in the past.  Only a sum
+   of huge durations reaches infinity, and [slot_of] clamps it. *)
 let check_durations durations =
   match List.find_opt (fun (_, d) -> not (Float.is_finite d && d >= 0.0)) durations with
   | None -> Ok ()
@@ -215,6 +309,14 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
       let waves = max 2 (config.max_simulated_blocks / blocks_per_wave) in
       min total_blocks (waves * blocks_per_wave)
   in
+  (* Each simulated warp has [periods + 1] issue phases, [periods] DRAM
+     requests and a completion; past 2^62 events the counts would wrap. *)
+  let* () =
+    if float_of_int budget *. float_of_int warps_per_block *. ((2.0 *. Float.ceil mem_insts) +. 2.0)
+       < 0x1p62
+    then Ok ()
+    else Error (Printf.sprintf "%g memory instructions per thread: too many events" mem_insts)
+  in
   (* The first wave is dealt round-robin, block [i] to SM [i mod
      sm_count], so no SM exceeds its occupancy limit.  Block [i] keeps
      slot [i]; each later block takes the slot, and so the SM, of the
@@ -227,14 +329,21 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
   let slot_mask = (1 lsl slot_bits) - 1 in
   let sm_of_slot = Array.init slots (fun slot -> slot mod gpu.sm_count) in
   let capacity = slots * warps_per_block in
+  (* The first slot width assumes the mean gap between a wave's events
+     that the busiest server, or one warp's own chain of phases, would
+     set; [pop] corrects it.  Its first window of pops starts with the
+     first events, at the dispatch cost. *)
   let q =
-    {
-      times = Array.make capacity 0.0;
-      seqs = Array.make capacity 0;
-      codes = Array.make capacity 0;
-      size = 0;
-      scheduled = 0;
-    }
+    let warps = float_of_int capacity and p = float_of_int periods in
+    let pace =
+      Float.max
+        (Float.max
+           (warps /. float_of_int gpu.sm_count *. (p +. 1.0) *. comp_chunk)
+           (warps *. p *. dram_service))
+        ((p *. (base_latency +. comp_chunk)) +. comp_chunk)
+    in
+    create_queue ~capacity ~start:dispatch_cost
+      ~width:(width_per_gap *. pace /. (warps *. ((2.0 *. p) +. 2.0)))
   in
   let block_ids = Array.make slots 0 in
   let block_starts = Array.make slots 0.0 in
@@ -251,8 +360,11 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
     block_starts.(slot) <- now;
     warps_left.(slot) <- warps_per_block;
     incr next_block;
-    for _ = 1 to warps_per_block do
-      push q (now +. dispatch_cost) (event_code ~slot_bits ~slot ~period:0 issue_phase)
+    for w = 0 to warps_per_block - 1 do
+      schedule q
+        ((slot * warps_per_block) + w)
+        (now +. dispatch_cost)
+        (event_code ~slot_bits ~slot ~period:0 issue_phase)
     done
   in
   for slot = 0 to slots - 1 do
@@ -263,8 +375,16 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
   let completion_last = ref 0.0 in
   let half_mark = max 1 (budget / 2) in
   let phases = ref 0 and dram_requests = ref 0 in
+  (* Every simulated warp makes [periods] DRAM requests, each drawing
+     its latency jitter.  The draws are made ahead, in order, into a
+     small buffer, and never more than the run still needs, so the
+     generator ends where one draw per request would leave it. *)
+  let dram_total = budget * warps_per_block * periods in
+  let draws = Array.make (min dram_total 256) 0.0 in
+  let drawn = ref (Array.length draws) in
   while q.size > 0 do
-    let now = q.times.(0) and code = q.codes.(0) in
+    let node = pop q in
+    let now = q.times.(node) and code = q.codes.(node) in
     let slot = (code lsr 2) land slot_mask and period = code lsr (slot_bits + 2) in
     let sm = sm_of_slot.(slot) in
     match code land 3 with
@@ -279,7 +399,7 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
             Trace.record tr ~name:"issue" ~category:"compute" ~track:sm ~start
               ~duration:(finish -. start)
         | None -> ());
-        replace_top q finish
+        schedule q node finish
           (event_code ~slot_bits ~slot ~period
              (if period >= periods then warp_done else dram_request))
     | 1 (* dram_request *) ->
@@ -293,12 +413,17 @@ let run ?(config = default_config) ?trace ~rng ~gpu (c : Characteristics.t) =
             Trace.record tr ~name:"mem" ~category:"dram" ~track:Trace.dram_track ~start
               ~duration:(finish -. start)
         | None -> ());
-        let latency = base_latency *. (1.0 +. Rng.uniform rng ~lo:(-.jitter) ~hi:jitter) in
-        replace_top q
+        if !drawn = Array.length draws then begin
+          Rng.fill_uniform rng ~lo:(-.jitter) ~hi:jitter draws
+            (min (Array.length draws) (dram_total - !dram_requests + 1));
+          drawn := 0
+        end;
+        let latency = base_latency *. (1.0 +. draws.(!drawn)) in
+        incr drawn;
+        schedule q node
           (later (now +. latency) finish)
           (event_code ~slot_bits ~slot ~period:(period + 1) issue_phase)
     | _ (* warp_done *) ->
-        pop q;
         warps_left.(slot) <- warps_left.(slot) - 1;
         if warps_left.(slot) = 0 then begin
           (match trace with

@@ -28,7 +28,11 @@
     order they were scheduled.  That order fixes the order of the RNG
     draws, so the [rng] state a run starts from determines every field
     of its {!result}, the obs counters and the recorded trace, bit for
-    bit. *)
+    bit.  The pending events sit in a calendar queue (Brown, 1988): one
+    node per resident warp, in time buckets whose width tracks the mean
+    gap between events.  No two (time, scheduling order) keys are
+    equal, so it pops exactly the sequence the binary heap it replaced
+    popped, and every result is unchanged. *)
 
 type config = {
   streaming_efficiency : float;
@@ -71,10 +75,11 @@ val run :
   Gpp_model.Characteristics.t ->
   (result, string) Result.t
 (** Simulate one launch.  [Error] when the characteristics cannot be
-    scheduled on the device, or when a duration the run schedules by
-    (the issue chunk, the DRAM service time, the block dispatch cost or
+    scheduled on the device, when a duration the run schedules by (the
+    issue chunk, the DRAM service time, the block dispatch cost or
     either end of the jittered DRAM latency range) is negative or not
-    finite; both are checked before any event runs.  Pass a {!Trace.t}
+    finite, or when the run would schedule 2^62 events or more; all are
+    checked before any event runs.  Pass a {!Trace.t}
     to record block, issue, and DRAM activity for inspection or
     Chrome-trace export. *)
 

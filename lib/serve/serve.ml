@@ -151,10 +151,7 @@ let request_key ~scenario (r : Http.request) =
 let run_experiment (c : Config.t) id =
   let entries = match Gpp_experiments.Suite.select [ id ] with Ok es -> es | Error e -> fail e in
   let body = Buffer.create 4096 in
-  match
-    Gpp_experiments.Suite.run ~machine:c.machine ~seed:c.seed entries
-      ~emit:(Buffer.add_string body)
-  with
+  match Gpp_experiments.Suite.run c entries ~emit:(Buffer.add_string body) with
   | Ok _ -> (200, text_ct, Buffer.contents body)
   | Error e -> fail e
 
@@ -172,7 +169,7 @@ let run_batch (c : Config.t) (r : Http.request) =
         Some
           (List.map
              (fun name ->
-               match Config.machine_of_name name with
+               match Config.find_machine c name with
                | Ok m -> m
                | Error msg -> fail (Error.config msg))
              (split_csv v))
@@ -209,9 +206,9 @@ type project_params = {
   iterations : int option;
 }
 
-let project_params_of_request (r : Http.request) =
+let project_params_of_request (c : Config.t) (r : Http.request) =
   let machine_of name =
-    match Config.machine_of_name name with Ok m -> m | Error msg -> fail (Error.config msg)
+    match Config.find_machine c name with Ok m -> m | Error msg -> fail (Error.config msg)
   in
   let of_query =
     {
@@ -264,7 +261,7 @@ let project_params_of_request (r : Http.request) =
    then transfer plan, rendered by the same printers on formatters with
    the CLI's default geometry. *)
 let run_project (c : Config.t) (r : Http.request) =
-  let p = project_params_of_request r in
+  let p = project_params_of_request c r in
   let workload =
     match p.workload with
     | Some w -> w

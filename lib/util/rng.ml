@@ -35,6 +35,14 @@ let uniform t ~lo ~hi =
   assert (lo <= hi);
   lo +. ((hi -. lo) *. float t)
 
+(* The loop keeps every draw unboxed, even where [uniform] cannot be
+   inlined into its caller. *)
+let fill_uniform t ~lo ~hi a n =
+  assert (lo <= hi && n <= Array.length a);
+  for i = 0 to n - 1 do
+    a.(i) <- lo +. ((hi -. lo) *. float t)
+  done
+
 let gaussian t ~mu ~sigma =
   assert (sigma >= 0.0);
   (* Box-Muller; guard against log 0 by nudging u1 away from zero. *)

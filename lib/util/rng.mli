@@ -38,6 +38,12 @@ val uniform : t -> lo:float -> hi:float -> float
 (** [uniform t ~lo ~hi] is uniform in [\[lo, hi)].  Requires
     [lo <= hi]. *)
 
+val fill_uniform : t -> lo:float -> hi:float -> float array -> int -> unit
+(** [fill_uniform t ~lo ~hi a n] sets [a.(0)] to [a.(n - 1)] to the
+    next [n] draws of [uniform t ~lo ~hi], in order and bit for bit,
+    and leaves [t] where those [n] calls would.  It allocates nothing.
+    Requires [lo <= hi] and [n <= Array.length a]. *)
+
 val gaussian : t -> mu:float -> sigma:float -> float
 (** [gaussian t ~mu ~sigma] draws from a normal distribution using the
     Box-Muller transform, which takes two draws.  [sigma] must be

@@ -65,8 +65,8 @@ let tiny_machine =
     gpu = { m.gpu with Gpp_arch.Gpu.shared_mem_per_sm = 1; max_threads_per_block = 32 };
   }
 
-let qtest ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* A small well-formed program used across suites: two kernels in a
    producer/consumer chain over 1-D arrays, plus a temporary. *)

@@ -6,7 +6,7 @@ module Suite = Gpp_experiments.Suite
 
 (* One context shared by all cases: building it runs the full pipeline
    over every Table I instance, which is the expensive part. *)
-let ctx = lazy (Helpers.check_core "context" (Context.create ()))
+let ctx = lazy (Helpers.check_core "context" (Context.create Gpp_engine.Config.default))
 
 let test_context_instances () =
   let ctx = Lazy.force ctx in
@@ -235,8 +235,9 @@ let test_csv_write_all () =
 (* A machine no paper workload fits: one structured error that names
    every failing workload and keeps their category (exit code 1). *)
 let test_context_names_every_failure () =
+  let tiny = { Gpp_engine.Config.default with machine = Helpers.tiny_machine } in
   let e =
-    Helpers.check_core_error "tiny machine" (Context.create ~machine:Helpers.tiny_machine ())
+    Helpers.check_core_error "tiny machine" (Context.create tiny)
   in
   Alcotest.(check string) "category" "projection" (Gpp_engine.Error.category e);
   Alcotest.(check int) "exit code" 1 (Gpp_engine.Error.exit_code e);
@@ -250,10 +251,51 @@ let test_context_names_every_failure () =
   let emitted = ref 0 in
   let e' =
     Helpers.check_core_error "suite on tiny"
-      (Suite.run ~machine:Helpers.tiny_machine Suite.all ~emit:(fun _ -> incr emitted))
+      (Suite.run tiny Suite.all ~emit:(fun _ -> incr emitted))
   in
   Alcotest.(check string) "same error" message (Gpp_engine.Error.message e');
   Alcotest.(check int) "nothing emitted" 0 !emitted
+
+(* The context runs under the whole scenario, not just its machine and
+   seed: a slower simulated DRAM moves table1 as it moves the batch,
+   whose reports the context's equal bit for bit. *)
+let test_context_honours_scenario () =
+  let slower =
+    {
+      Gpp_engine.Config.default with
+      sim =
+        Some
+          {
+            Gpp_gpusim.Gpu_sim.default_config with
+            streaming_efficiency = 0.5;
+            scattered_efficiency = 0.2;
+          };
+    }
+  in
+  let table1 config =
+    let buf = Buffer.create 4096 in
+    let entries = Helpers.check_core "select" (Suite.select [ "table1" ]) in
+    let ctx = Helpers.check_core "suite" (Suite.run config entries ~emit:(Buffer.add_string buf)) in
+    (ctx, Buffer.contents buf)
+  in
+  let _, default_table = table1 Gpp_engine.Config.default in
+  let ctx, slower_table = table1 slower in
+  Alcotest.(check bool) "the sim group changes table1" true (default_table <> slower_table);
+  let workloads = List.map Gpp_workloads.Registry.key Gpp_workloads.Registry.paper_instances in
+  let batch = Gpp_engine.Batch.run slower ~workloads in
+  let bits f = Int64.bits_of_float f in
+  List.iter2
+    (fun ((inst : Gpp_workloads.Registry.instance), (report : Gpp_core.Grophecy.report))
+         (_, (cell : Gpp_core.Grophecy.report)) ->
+      let what = Gpp_workloads.Registry.key inst in
+      Alcotest.(check int64)
+        (what ^ " kernel time") (bits cell.measurement.kernel_time)
+        (bits report.measurement.kernel_time);
+      Alcotest.(check int64)
+        (what ^ " total time") (bits cell.measurement.total_time)
+        (bits report.measurement.total_time))
+    (Context.instances ctx)
+    (Gpp_engine.Batch.succeeded batch)
 
 let test_suite_registry () =
   Alcotest.(check int) "13 paper experiments" 13 (List.length Suite.paper);
@@ -287,6 +329,7 @@ let () =
         [
           Alcotest.test_case "instances" `Quick test_context_instances;
           Alcotest.test_case "names every failure" `Quick test_context_names_every_failure;
+          Alcotest.test_case "honours the scenario" `Quick test_context_honours_scenario;
         ] );
       ( "figures",
         [

@@ -251,13 +251,13 @@ let result_fields (r : Sim.result) =
 
 (* A run as three strings: the float fields, the integer fields with
    the [pinned_counters] totals in order, and the trace. *)
-let pin_fields ~gpu c =
+let pin_fields ?(config = Sim.default_config) ~gpu c =
   Obs.reset ();
   Obs.set_enabled true;
   let tr = Trace.create () in
   let r =
     Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-    Helpers.check_ok "pinned run" (Sim.run ~trace:tr ~rng:(Rng.create 42L) ~gpu c)
+    Helpers.check_ok "pinned run" (Sim.run ~config ~trace:tr ~rng:(Rng.create 42L) ~gpu c)
   in
   let counters = List.map (fun n -> string_of_int (Obs.value (Obs.counter n))) pinned_counters in
   Obs.reset ();
@@ -333,6 +333,84 @@ let test_bit_for_bit_pin () =
     (fun (what, fields) expected -> Alcotest.(check (list string)) what expected fields)
     runs pin_expected
 
+(* Regimes the pinned kernels never reach, each pinned like the above:
+   exact ties, buckets far sparser than the events, a saturated DRAM
+   channel with long queueing tails, and a single warp.  The event queue
+   must pop these in (time, scheduling order) too. *)
+let stress_pins =
+  [
+    ("ties", noiseless, characteristics ~grid_blocks:512 ());
+    ( "sparse",
+      { Sim.default_config with Sim.block_dispatch_cycles = 1e6 },
+      characteristics ~grid_blocks:300 ~threads_per_block:64 () );
+    ( "saturated",
+      { Sim.default_config with Sim.scattered_efficiency = 0.05 },
+      characteristics ~grid_blocks:1024 ~flops:1.0 ~loads:8.0 ~load_trans:256.0 ~scattered:1.0 () );
+    ("single-warp", Sim.default_config, characteristics ~grid_blocks:1 ~threads_per_block:32 ());
+  ]
+
+(* Recorded before the calendar queue replaced the binary heap, and
+   unchanged by it. *)
+let stress_expected =
+  [
+    (* quadro_fx_5600 *)
+    [
+      "time=3f11dc08c56c975c busy=3f03fd89642ea003 dram=3fef9ea6f6daf7ec issue=3fdda0fd29aed5ff";
+      "simk blocks=512/512 extrapolated=false events=32768 counters=512,16,16384,12288,24576,0,32768,0,12290";
+      "trace=29184/0/76920f7bc8a7d2c75f548c1a8619641f";
+    ];
+    [
+      "time=3f6248a97ef0f93c busy=3f623f4745a4d3e6 dram=3f641086107d755d issue=3f52cd1ce986a07b";
+      "simk blocks=300/300 extrapolated=false events=4800 counters=300,3,2400,1800,3600,0,4800,0,1802";
+      "trace=4500/0/5bd56b9ef5bf4cb05acc2b1570ffee9a";
+    ];
+    [
+      "time=3f92024203f0b44f busy=3f92094423045adc dram=3fefffe4d5b5c6dc issue=3f4c393c7dde9aa0";
+      "simk blocks=1024/1024 extrapolated=false events=163840 counters=1024,32,81920,73728,2138112,0,163840,0,73730";
+      "trace=156672/0/00740a4aac6377c0078a565c01ae0360";
+    ];
+    [
+      "time=3f00f6d77e1ee975 busy=3ebe5f849b4e9810 dram=3f7b42beee23801b issue=3f698b57e2eff624";
+      "simk blocks=1/1 extrapolated=false events=8 counters=1,1,4,3,6,0,8,0,5";
+      "trace=8/0/88bc9a870faed8481bd24b3530a0a503";
+    ];
+    (* a100 *)
+    [
+      "time=3edeb8b8a4ca5068 busy=3ed2237eec41de3e dram=3fee2fd6b6c23174 issue=3fc44f2e233e1acf";
+      "simk blocks=512/512 extrapolated=false events=32768 counters=512,1,16384,12288,24576,0,32768,0,12290";
+      "trace=29184/0/5ee934ac85c91228875959a0ec61ca84";
+    ];
+    [
+      "time=3f471ec08c89da19 busy=3f474946d849f414 dram=3f48dbd9fdb4f318 issue=3f20b9824d7fafab";
+      "simk blocks=300/300 extrapolated=false events=4800 counters=300,1,2400,1800,3600,0,4800,0,1802";
+      "trace=4500/0/1d5e21ad6dff2203d7b594f95635faa5";
+    ];
+    [
+      "time=3f5c78d533cd77b4 busy=3f5c83c377fdc21b dram=3feffefdd927d346 issue=3f34431890aa57b8";
+      "simk blocks=1024/1024 extrapolated=false events=163840 counters=1024,2,81920,73728,2138112,0,163840,0,73730";
+      "trace=156672/0/9a1142bc3a4a228513b8267c3cb3ca55";
+    ];
+    [
+      "time=3ed31b47a6c46c40 busy=3eb8cde0cef2ea1c dram=3f4bf243cb50a4ad issue=3f22cd49b0000e82";
+      "simk blocks=1/1 extrapolated=false events=8 counters=1,1,4,3,6,0,8,0,5";
+      "trace=8/0/f69e66aa5635906c40faccc114cddc1d";
+    ];
+  ]
+
+let test_stress_pins () =
+  let runs =
+    List.concat_map
+      (fun (gpu : Gpp_arch.Gpu.t) ->
+        List.map
+          (fun (label, config, c) -> (label ^ " on " ^ gpu.name, pin_fields ~config ~gpu c))
+          stress_pins)
+      pin_gpus
+  in
+  Alcotest.(check int) "pinned runs" (List.length stress_expected) (List.length runs);
+  List.iter2
+    (fun (what, fields) expected -> Alcotest.(check (list string)) what expected fields)
+    runs stress_expected
+
 (* [rng.draws] counts the draws a run makes: a fresh generator advanced
    that many times stands exactly where the run left its generator. *)
 let test_rng_draws_counted () =
@@ -357,8 +435,9 @@ let test_rng_draws_counted () =
         pin_kernels)
     pin_gpus
 
-(* Durations the event loop cannot schedule (negative, infinite or NaN)
-   are an [Error] before any event runs, never an exception. *)
+(* Durations the event loop cannot schedule (negative, infinite or NaN),
+   and event counts an [int] cannot hold, are an [Error] before any
+   event runs, never an exception. *)
 let test_bad_durations_are_errors () =
   let expect_error what ?(config = Sim.default_config) c =
     match Sim.run ~config ~rng:(Rng.create 1L) ~gpu c with
@@ -381,7 +460,8 @@ let test_bad_durations_are_errors () =
         ("negative latencies", { default_config with latency_jitter = 1.5 });
       ];
   expect_error "negative issue chunk" (characteristics ~flops:(-100.0) ());
-  expect_error "NaN issue chunk" (characteristics ~flops:Float.nan ())
+  expect_error "NaN issue chunk" (characteristics ~flops:Float.nan ());
+  expect_error "too many events" (characteristics ~loads:1e17 ())
 
 (* Generated kernels on both GPUs: each FIFO server is busy for no more
    than the simulated span (work conservation), and the same seed gives
@@ -421,6 +501,61 @@ let test_generated_kernels =
           && result_fields a = result_fields b
       | _ -> false)
 
+(* Issue chunks, dispatch costs and DRAM latencies from 1e-300 s to
+   1e300 s, so event times span the whole float range and may overflow
+   to infinity.  A duration the GPU or config cannot express overflows
+   too, and [run] must reject it.  Either way a run is an [Ok] or an
+   [Error], never an exception, and the same seed gives the same bits. *)
+let test_extreme_durations =
+  let duration =
+    QCheck2.Gen.(
+      map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range 1.0 10.0) (int_range (-300) 299))
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* durations = triple duration duration duration in
+      let* seed = map Int64.of_int nat in
+      let* grid_blocks = int_range 1 48 in
+      let* threads_per_block = oneofl [ 32; 64; 128 ] in
+      let* budget = int_range 1 64 in
+      return (durations, seed, (grid_blocks, threads_per_block, budget)))
+  in
+  let print ((issue_chunk, dispatch, latency), seed, (blocks, threads, budget)) =
+    Printf.sprintf "issue chunk %h, dispatch %h, latency %h, seed %Ld, %d blocks of %d, budget %d"
+      issue_chunk dispatch latency seed blocks threads budget
+  in
+  Helpers.qtest ~count:150 ~print "extreme durations: Ok or Error, seed-deterministic" gen
+    (fun ((issue_chunk, dispatch, latency), seed, (grid_blocks, threads_per_block, budget)) ->
+      (* One cycle is one DRAM latency.  A thread issues four
+         instructions, two of them memory instructions, so an issue
+         chunk is a third of four instructions' issue cycles. *)
+      let cycle = latency in
+      let gpu =
+        {
+          Gpp_arch.Gpu.quadro_fx_5600 with
+          clock_ghz = 1e-9 /. cycle;
+          dram_latency_cycles = 1;
+          issue_cycles = issue_chunk *. 3.0 /. (4.0 *. cycle);
+        }
+      in
+      let config =
+        {
+          Sim.default_config with
+          Sim.block_dispatch_cycles = dispatch /. cycle;
+          max_simulated_blocks = budget;
+        }
+      in
+      let c =
+        characteristics ~grid_blocks ~threads_per_block ~flops:2.0 ~loads:1.0 ~stores:1.0 ()
+      in
+      let run () =
+        match Sim.run ~config ~rng:(Rng.create seed) ~gpu c with
+        | Ok r -> Ok (result_fields r)
+        | Error e -> Error e
+        | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      in
+      run () = run ())
+
 let () =
   Alcotest.run "gpp_gpusim"
     [
@@ -439,9 +574,11 @@ let () =
           Alcotest.test_case "pure compute" `Quick test_pure_compute_kernel;
           Alcotest.test_case "model agreement" `Quick test_agrees_with_model_on_regular_kernels;
           Alcotest.test_case "bit-for-bit pin" `Quick test_bit_for_bit_pin;
+          Alcotest.test_case "stress pins" `Quick test_stress_pins;
           Alcotest.test_case "rng draws counted" `Quick test_rng_draws_counted;
           Alcotest.test_case "bad durations are errors" `Quick test_bad_durations_are_errors;
           test_generated_kernels;
+          test_extreme_durations;
         ] );
       ( "trace",
         [

@@ -325,6 +325,31 @@ let test_scenario_keys_responses () =
     slower_body;
   Alcotest.(check bool) "the sim group changes the body" true (base_body <> slower_body)
 
+(* A machine from the scenario's catalog (GPP_MACHINES, --machines)
+   resolves in request parameters as it does on the CLI, never as an
+   unknown-machine 400. *)
+let test_catalog_machines_resolve () =
+  let base = Lazy.force scenario in
+  let c = { base with Config.machines = base.machines @ [ Helpers.tiny_machine ] } in
+  with_server c @@ fun t ->
+  let request target =
+    match Serve.request t target with
+    | Ok (status, _, body) -> (status, body)
+    | Error msg -> Alcotest.failf "%s: %s" target msg
+  in
+  let status, body = request "/batch?machines=tiny&workloads=vecadd/16M" in
+  Alcotest.(check int) "batch status" 200 status;
+  Alcotest.(check string)
+    "batch body is the CLI's TSV"
+    (Gpp_engine.Batch.to_tsv
+       (Gpp_engine.Batch.run ~machines:[ Helpers.tiny_machine ] c ~workloads:[ "vecadd/16M" ]))
+    body;
+  (* No vecadd transformation fits on tiny: the
+     pipeline's projection error, as `grophecy project -m tiny` reports. *)
+  let status, body = request "/project?machine=tiny&workload=vecadd/16M" in
+  Alcotest.(check int) "project status" 500 status;
+  Helpers.check_contains "project error" ~needle:"\"error\":\"projection\"" body
+
 let () =
   Alcotest.run "serve"
     [
@@ -347,6 +372,7 @@ let () =
           Alcotest.test_case "unix socket round-trip" `Quick test_unix_socket_roundtrip;
           Alcotest.test_case "experiment context error: structured" `Quick
             test_experiment_context_error;
+          Alcotest.test_case "catalog machines resolve" `Quick test_catalog_machines_resolve;
           Alcotest.test_case "scenario keys the response memo" `Quick
             test_scenario_keys_responses;
         ] );

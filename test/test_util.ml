@@ -45,6 +45,24 @@ let test_rng_uniform_range =
       let v = Rng.uniform rng ~lo ~hi:(lo +. width) in
       v >= lo && v < lo +. width)
 
+(* A fill is [n] [uniform] calls: the same bits in the same order, and
+   the generator left at the same state.  The cells past [n] keep their
+   contents. *)
+let test_rng_fill_uniform =
+  Helpers.qtest "fill_uniform = n sequential uniform draws"
+    QCheck2.Gen.(quad int64 (float_range (-100.) 100.) (float_range 0.0 50.) (int_range 0 300))
+    (fun (seed, lo, width, n) ->
+      let hi = lo +. width in
+      let filled = Rng.create seed and drawn = Rng.create seed in
+      let a = Array.make (n + 3) Float.nan in
+      Rng.fill_uniform filled ~lo ~hi a n;
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun i -> bits a.(i) = bits (Rng.uniform drawn ~lo ~hi))
+        (List.init n Fun.id)
+      && List.for_all (fun i -> Float.is_nan a.(i)) [ n; n + 1; n + 2 ]
+      && Rng.next_int64 filled = Rng.next_int64 drawn)
+
 let test_rng_int_bound =
   Helpers.qtest "int in [0,bound)"
     QCheck2.Gen.(pair int64 (int_range 1 1000))
@@ -371,6 +389,7 @@ let () =
           Alcotest.test_case "split" `Quick test_rng_split_differs;
           test_rng_float_range;
           test_rng_uniform_range;
+          test_rng_fill_uniform;
           test_rng_int_bound;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "lognormal median" `Quick test_rng_lognormal_median;
